@@ -31,12 +31,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "data/synth.hpp"
 #include "deploy/deploy.hpp"
+#include "device/thread_pool.hpp"
 #include "models/mobilenet.hpp"
 #include "net/net.hpp"
 #include "nn/sgd.hpp"
@@ -270,16 +271,20 @@ int run_metrics_endpoint_demo(int port, double slo_p99_ms, bool profile) {
 
   // Force one genuine tail outlier so /outliers, the /metrics exemplars and
   // their /trace timelines have something real to show: a helper thread
-  // holds the process execution lock ~80 ms while one request is in flight,
-  // so that request's reply-time latency trips the (lowered) absolute
-  // threshold and the flight recorder promotes its capture.
+  // occupies the global pool ~80 ms (one chunk that sleeps) while one
+  // request is in flight, so that request's reply-time latency trips the
+  // (lowered) absolute threshold and the flight recorder promotes its
+  // capture.
   obs::flight::set_absolute_threshold_us(50'000);
   {
-    std::thread holder([] {
-      std::lock_guard<std::mutex> lock(serve::execution_mutex());
-      std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    std::promise<void> holding;
+    std::thread holder([&holding] {
+      device::ThreadPool::global().run_chunks(1, [&holding](int64_t, int64_t) {
+        holding.set_value();
+        std::this_thread::sleep_for(std::chrono::milliseconds(80));
+      });
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    holding.get_future().wait();
     (void)server.infer("mobilenet-scc", requests[0]);
     holder.join();
   }

@@ -19,8 +19,8 @@
 #                                then build Debug + TSan in build-tsan/ and
 #                                run the obs string-interning and exemplar
 #                                seqlock suites (Intern.*, ExemplarSeqlock.*),
-#                                the thread-pool accounting suite
-#                                (PoolAccounting.*) and the full net suite
+#                                the thread-pool suites (ThreadPool.*,
+#                                PoolAccounting.*) and the full net suite
 #                                (ingress event loop + dispatch pool +
 #                                residency single-flight) under it
 set -euo pipefail
@@ -48,6 +48,12 @@ echo "== tier-1 tests =="
 # --timeout backstops the per-test TIMEOUT property from CMakeLists: a
 # deadlocked batcher fails fast instead of hanging CI.
 ctest --test-dir build --output-on-failure -j"${JOBS}" --timeout 300
+
+echo "== serving race hammer (test_deploy + test_net, 20 repeats) =="
+# Compile, swap, evict and serve all launch onto shared pools; a single run
+# can miss a broken interleaving, twenty in a row rarely do.
+./build/test_deploy --gtest_repeat=20
+./build/test_net --gtest_repeat=20
 
 if [[ "${FAST}" != "1" ]]; then
   echo "== serve throughput (smoke, json) =="
@@ -142,7 +148,7 @@ if [[ "${FAST}" != "1" ]]; then
            kill "${SRV_PID}"; exit 1; }
 
     # Flight recorder end to end: the demo forces one genuinely slow request
-    # (execution lock held ~80 ms against a 50 ms threshold), so /outliers
+    # (global pool occupied ~80 ms against a 50 ms threshold), so /outliers
     # must carry a promoted capture with the per-phase span breakdown, a
     # fresh exposition scrape must attach its trace id as an OpenMetrics
     # exemplar on a native bucket line, and that id must resolve to real
@@ -323,9 +329,10 @@ if [[ "${SANITIZE}" == "1" ]]; then
   # tier runs only the obs primitives whose thread-safety must hold to the
   # letter: obs::intern() (concurrent span recorders dereference its
   # pointers forever), the exemplar seqlock (atomic payloads ordered by
-  # fences - a plain-field version was a real data race), and the
-  # thread-pool busy/idle accounting (relaxed counters read by concurrent
-  # pool_stats() snapshotters while workers accumulate).
+  # fences - a plain-field version was a real data race), the thread pool's
+  # caller serialization and nested inline launches, and its busy/idle
+  # accounting (relaxed counters read by concurrent pool_stats()
+  # snapshotters while workers accumulate).
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
@@ -335,8 +342,8 @@ if [[ "${SANITIZE}" == "1" ]]; then
   echo "== obs intern + exemplar-seqlock tests (TSan) =="
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
 
-  echo "== thread-pool accounting tests (TSan) =="
-  ./build-tsan/test_device --gtest_filter='PoolAccounting.*'
+  echo "== thread-pool tests (TSan) =="
+  ./build-tsan/test_device --gtest_filter='ThreadPool.*:PoolAccounting.*'
 
   echo "== net ingress + residency tests (TSan) =="
   # The whole suite is TSan-clean: the event thread owns all connection

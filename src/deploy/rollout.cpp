@@ -40,6 +40,28 @@ int bucket_threshold(double fraction) {
   return static_cast<int>(fraction * kRouteBuckets + 0.5);
 }
 
+/// The guardrail's p99 of a fleet's cumulative latency histogram
+/// (nanosecond samples), in ms. Up to 50 samples the nearest-rank p99 is
+/// the sample maximum, so one scheduler stall on a healthy fleet would set
+/// the baseline the candidate is judged against. The rank therefore stays
+/// at least two below the sample count: the estimate never rests on the two
+/// worst samples, and beyond 150 samples it is the plain p99.
+double guardrail_p99_ms(const device::LogHistogram::BucketSnapshot& h) {
+  if (h.count <= 0) return 0.0;
+  const auto p99_rank =
+      static_cast<int64_t>(0.99 * static_cast<double>(h.count) + 0.5);
+  const int64_t rank = std::max<int64_t>(1, std::min(p99_rank, h.count - 2));
+  int64_t seen = 0;
+  int b = 0;
+  for (; b + 1 < device::LogHistogram::kBuckets; ++b) {
+    seen += h.buckets[static_cast<size_t>(b)];
+    if (seen >= rank) break;
+  }
+  return std::clamp(device::LogHistogram::bucket_value(b),
+                    static_cast<double>(h.min), static_cast<double>(h.max)) /
+         1e6;
+}
+
 }  // namespace
 
 RolloutController::RolloutController(serve::InferenceServer& server,
@@ -494,7 +516,7 @@ bool RolloutController::evaluate_guardrail(const std::string& name,
   // samples only - shadow mirrors (answered or shed) never reach this
   // count, so they can neither dilute the error rate nor arm the guardrail
   // early. Latencies come from the fleets' cumulative histogram buckets
-  // (nanosecond samples).
+  // (nanosecond samples), read through guardrail_p99_ms.
   obs::slo::SloSpec gspec;
   gspec.max_error_rate = opts_.guardrail_max_error_rate;
   gspec.latency_unit_per_ms = 1e6;
@@ -511,6 +533,8 @@ bool RolloutController::evaluate_guardrail(const std::string& name,
   const obs::slo::WindowDelta prim =
       obs::slo::window_delta(gspec, obs::slo::WindowSample{}, prim_sample);
   if (cand.requests < opts_.guardrail_min_samples) return false;
+  const double cand_p99 = guardrail_p99_ms(cand_sample.latency);
+  const double prim_p99 = guardrail_p99_ms(prim_sample.latency);
   obs::Registry::global()
       .counter("dsx_deploy_guardrail_evals_total", {{"model", name}},
                "Guardrail evaluations with enough canary samples.")
@@ -530,11 +554,11 @@ bool RolloutController::evaluate_guardrail(const std::string& name,
        << cand.requests << ")";
     reason = os.str();
   } else if (prim.requests >= opts_.guardrail_min_samples &&
-             prim.p99_ms > 0.0 &&
-             cand.p99_ms > opts_.guardrail_max_p99_ratio * prim.p99_ms) {
+             prim_p99 > 0.0 &&
+             cand_p99 > opts_.guardrail_max_p99_ratio * prim_p99) {
     std::ostringstream os;
-    os << "guardrail: candidate p99 " << cand.p99_ms << " ms > "
-       << opts_.guardrail_max_p99_ratio << "x primary p99 " << prim.p99_ms
+    os << "guardrail: candidate p99 " << cand_p99 << " ms > "
+       << opts_.guardrail_max_p99_ratio << "x primary p99 " << prim_p99
        << " ms";
     reason = os.str();
   }

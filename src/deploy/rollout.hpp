@@ -68,6 +68,8 @@ struct RolloutOptions {
   /// opened, + errors) required before it arms.
   int64_t guardrail_min_samples = 16;
   /// Auto-rollback when candidate p99 exceeds this multiple of primary p99.
+  /// Up to 150 samples a fleet's p99 is read below its two worst samples,
+  /// so one stall cannot set either side's p99.
   double guardrail_max_p99_ratio = 3.0;
   /// Auto-rollback when candidate error rate exceeds this fraction.
   double guardrail_max_error_rate = 0.10;

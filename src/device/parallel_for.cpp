@@ -27,7 +27,7 @@ void parallel_for(int64_t total, const std::function<void(int64_t)>& body,
   DSX_REQUIRE(total >= 0, "parallel_for: negative range");
   grain = effective_grain(grain);
   if (total == 0) return;
-  if (total < grain || ThreadPool::current().size() == 1) {
+  if (total < grain) {
     for (int64_t i = 0; i < total; ++i) body(i);
     return;
   }
@@ -42,7 +42,7 @@ void parallel_for_chunks(int64_t total,
   DSX_REQUIRE(total >= 0, "parallel_for_chunks: negative range");
   grain = effective_grain(grain);
   if (total == 0) return;
-  if (total < grain || ThreadPool::current().size() == 1) {
+  if (total < grain) {
     body(0, total);
     return;
   }

@@ -28,6 +28,9 @@ std::vector<ThreadPool*>& named_pools() {
   return pools;
 }
 
+// Set while this thread runs a chunk of any pool (see run_chunks).
+thread_local bool t_in_chunk = false;
+
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads, std::string name)
@@ -96,11 +99,13 @@ void ThreadPool::worker_loop(unsigned worker_index) {
     if (task.begin < task.end) {
       const bool acct = pool_accounting_enabled();
       const int64_t t0 = acct ? mono_ns() : 0;
+      t_in_chunk = true;
       try {
         (*task.fn)(task.begin, task.end);
       } catch (...) {
         err = std::current_exception();
       }
+      t_in_chunk = false;
       if (acct) busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
     }
     {
@@ -115,6 +120,13 @@ void ThreadPool::run_chunks(int64_t total,
                             const std::function<void(int64_t, int64_t)>& fn) {
   DSX_REQUIRE(total >= 0, "run_chunks: negative range");
   if (total == 0) return;
+  // Nested launch (a chunk body calling parallel_for): this thread already
+  // holds a turn, so waiting for another would deadlock. Run it inline.
+  if (t_in_chunk) {
+    fn(0, total);
+    return;
+  }
+  std::lock_guard<std::mutex> turn(turn_mu_);
   const int64_t nthreads = static_cast<int64_t>(size());
   const int64_t chunk = (total + nthreads - 1) / nthreads;
 
@@ -122,7 +134,6 @@ void ThreadPool::run_chunks(int64_t total,
   int64_t my_end = std::min<int64_t>(chunk, total);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DSX_CHECK(pending_ == 0, "run_chunks is not reentrant");
     first_error_ = nullptr;
     unsigned used = 0;
     for (unsigned i = 0; i < tasks_.size(); ++i) {
@@ -140,11 +151,13 @@ void ThreadPool::run_chunks(int64_t total,
   {
     const bool acct = pool_accounting_enabled();
     const int64_t t0 = acct ? mono_ns() : 0;
+    t_in_chunk = true;
     try {
       if (my_end > 0) fn(0, my_end);
     } catch (...) {
       my_err = std::current_exception();
     }
+    t_in_chunk = false;
     if (acct) busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
   }
 

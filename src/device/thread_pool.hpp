@@ -72,6 +72,11 @@ class ThreadPool {
   /// Runs fn(begin, end) over [0, total) split into one contiguous chunk per
   /// pool thread (the calling thread executes one chunk too). Blocks until
   /// every chunk finished. Exceptions from chunks are rethrown (first one).
+  ///
+  /// This is the pool's one serialization point: concurrent callers take
+  /// turns (one device, one command queue), and a call made from inside a
+  /// running chunk - of any pool - runs fn(0, total) inline on the calling
+  /// thread instead of waiting for a turn it already holds.
   void run_chunks(int64_t total,
                   const std::function<void(int64_t, int64_t)>& fn);
 
@@ -100,7 +105,8 @@ class ThreadPool {
   std::atomic<int64_t> busy_ns_{0};
   std::atomic<int64_t> idle_ns_{0};
   std::vector<std::thread> workers_;
-  std::mutex mu_;
+  std::mutex turn_mu_;  // held by the caller for a whole run_chunks call
+  std::mutex mu_;       // guards the task state below
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::vector<Task> tasks_;       // one slot per worker

@@ -21,9 +21,8 @@ namespace {
 shard::DeadlineBatcherOptions to_deadline_options(const BatcherOptions& opts) {
   validate_batcher_options(opts);
   // replicas only takes effect through InferenceServer::register_model
-  // (which builds a ReplicaSet and never constructs a DynamicBatcher for
-  // it). Silently serving unsharded here would be a mysterious-flat-
-  // throughput misconfiguration, so reject it loudly.
+  // (which builds a ReplicaSet). Silently serving unsharded here would be a
+  // mysterious-flat-throughput misconfiguration, so reject it loudly.
   DSX_REQUIRE(opts.replicas == 1,
               "DynamicBatcher: replicas = "
                   << opts.replicas
@@ -34,9 +33,8 @@ shard::DeadlineBatcherOptions to_deadline_options(const BatcherOptions& opts) {
   dopts.max_delay = opts.max_delay;
   dopts.queue_capacity = opts.queue_capacity;
   dopts.metric_model = opts.metric_model;
-  // lane stays null: global pool + process-wide execution lock. With no
-  // per-request deadlines or priorities the EDF order reduces to the seq
-  // tie-break, i.e. plain FIFO.
+  // lane stays null: the current pool. With no per-request deadlines or
+  // priorities the EDF order reduces to the seq tie-break, i.e. plain FIFO.
   return dopts;
 }
 

@@ -12,10 +12,10 @@
 // whose batch throws receives the exception through its future.
 //
 // DynamicBatcher is the FIFO face of the batching engine: it delegates to
-// shard::DeadlineBatcher configured with no deadlines, no priorities and no
-// execution lane - which degenerates to exactly FIFO coalescing on the
-// shared global pool under the process-wide execution lock. One
-// implementation, two surfaces; the scheduling-aware surface lives in
+// shard::DeadlineBatcher configured with no deadlines and no priorities -
+// which degenerates to exactly FIFO coalescing on the pool current at
+// construction (normally the global pool). One implementation, two
+// surfaces; the scheduling-aware surface lives in
 // shard/deadline_batcher.hpp.
 #pragma once
 
@@ -40,10 +40,10 @@ struct BatcherOptions {
   /// Bounded-queue admission control: submit() throws QueueFull once this
   /// many requests are waiting. 0 = unbounded (the legacy behavior).
   int64_t queue_capacity = 0;
-  /// Model replica count. 1 serves through this single batcher; > 1 makes
-  /// InferenceServer::register_model shard the model across that many
-  /// independently compiled replicas via dsx::shard::ReplicaSet (each with
-  /// its own batcher and execution lane).
+  /// Model replica count. InferenceServer::register_model serves the model
+  /// through a dsx::shard::ReplicaSet of that many independently compiled
+  /// replicas; 1 is a single batcher on the current pool, > 1 gives each
+  /// replica its own batcher and execution lane.
   int replicas = 1;
   /// Observability scope: non-empty registers dsx_serve_* series labeled
   /// {model=metric_model} in obs::Registry (see ROADMAP "Observability
@@ -59,11 +59,10 @@ void validate_batcher_options(const BatcherOptions& opts);
 
 class DynamicBatcher {
  public:
-  /// `model` must outlive the batcher. All DynamicBatchers in the process
-  /// share one execution lock around CompiledModel::run (they execute on the
-  /// global thread pool, which stands in for a single GPU, and its
-  /// run_chunks is non-reentrant). Throws std::invalid_argument on invalid
-  /// `opts`.
+  /// `model` must outlive the batcher. Batchers on the same pool take turns
+  /// launch by launch (ThreadPool::run_chunks serializes its callers; the
+  /// pool stands in for a single GPU). Throws std::invalid_argument on
+  /// invalid `opts`.
   DynamicBatcher(CompiledModel& model, BatcherOptions opts = {});
 
   DynamicBatcher(const DynamicBatcher&) = delete;

@@ -12,9 +12,10 @@
 //   * sizes a Workspace arena with one dry run at max batch, so steady-state
 //     run() calls perform no heap allocation in conv/im2col/SCC hot paths.
 //
-// run() is intentionally NOT thread-safe (it reuses the arena and the global
-// ThreadPool, whose run_chunks is non-reentrant); DynamicBatcher serializes
-// callers, standing in for a GPU's single command queue.
+// run() is intentionally NOT thread-safe (it reuses the arena); one batcher
+// worker owns each plan. Its kernels launch onto ThreadPool::current(), whose
+// run_chunks serializes callers - the stand-in for a GPU's single command
+// queue - so plans sharing a pool take turns launch by launch.
 #pragma once
 
 #include <cstdint>

@@ -133,11 +133,6 @@ void validate_batching_limits(const char* what, int64_t max_batch,
   }
 }
 
-std::mutex& execution_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
 BatchCore::BatchCore(CompiledModel& model, device::LatencyStats* extra_latency,
                      BatcherMetricSet metrics)
     : model_(model),

@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <vector>
 
 #include "common/check.hpp"
@@ -107,12 +106,6 @@ Request make_request(const CompiledModel& model, const Tensor& image);
 void validate_batching_limits(const char* what, int64_t max_batch,
                               std::chrono::microseconds max_delay,
                               int64_t queue_capacity);
-
-/// Process-wide lock serializing CompiledModel::run for batchers that
-/// execute on the shared global ThreadPool (its run_chunks is non-reentrant;
-/// one "device", one command queue). Batchers bound to a private lane pool
-/// (dsx::shard) do not take it - each lane is its own device.
-std::mutex& execution_mutex();
 
 /// Registry handles for one batcher instance. Detached (all-no-op) when the
 /// batcher has no metric scope; attached handles all carry the same

@@ -12,16 +12,31 @@ namespace dsx::serve {
 
 namespace {
 
-/// The one-field sharding bridge (BatcherOptions::replicas > 1), shared by
-/// register_model and swap_model so the two paths can never drift.
+/// The one-field sharding bridge (BatcherOptions -> ShardOptions), shared
+/// by register_model and swap_model so the two paths can never drift.
+/// replicas == 1 leaves lane_threads at 0: the lone replica serves on the
+/// current pool.
 shard::ShardOptions to_shard_options(const BatcherOptions& opts) {
+  validate_batcher_options(opts);
   shard::ShardOptions sopts;
   sopts.replicas = opts.replicas;
   sopts.max_batch = opts.max_batch;
   sopts.max_delay = opts.max_delay;
   sopts.queue_capacity = opts.queue_capacity;
-  sopts.metric_model = opts.metric_model;
   return sopts;
+}
+
+/// Stops a displaced fleet and reports what its drain answered.
+SwapReport drain(shard::ReplicaSet& fleet) {
+  SwapReport report;
+  const int64_t before = fleet.stats().requests;
+  const auto t0 = std::chrono::steady_clock::now();
+  fleet.stop();  // answers every queued request before joining the workers
+  report.drain_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  report.drained = fleet.stats().requests - before;
+  return report;
 }
 
 }  // namespace
@@ -88,66 +103,10 @@ bool InferenceServer::start_profile(int hz) { return obs::prof::start(hz); }
 
 void InferenceServer::stop_profile() { obs::prof::stop(); }
 
-std::future<Tensor> InferenceServer::Entry::submit(const Tensor& image) {
-  if (replicas != nullptr) return replicas->submit(image);
-  return batcher->submit(image);
-}
-
-std::future<Tensor> InferenceServer::Entry::submit(const Tensor& image,
-                                                   shard::SubmitOptions sopts) {
-  if (replicas != nullptr) return replicas->submit(image, sopts);
-  // Single-replica models speak the same scheduling contract: the batcher
-  // engine handles EDF ordering, deadline shedding and shed accounting.
-  return batcher->submit(image, sopts);
-}
-
-int64_t InferenceServer::Entry::answered() const {
-  if (replicas != nullptr) return replicas->stats().requests;
-  return batcher->stats().requests;
-}
-
-void InferenceServer::Entry::stop() {
-  if (batcher != nullptr) batcher->stop();
-  if (replicas != nullptr) replicas->stop();
-}
-
-SwapReport InferenceServer::Entry::drain() {
-  SwapReport report;
-  const int64_t before = answered();
-  const auto t0 = std::chrono::steady_clock::now();
-  stop();  // answers every queued request before joining the worker(s)
-  report.drain_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  report.drained = answered() - before;
-  return report;
-}
-
 void InferenceServer::register_model(const std::string& name,
                                      std::unique_ptr<CompiledModel> model,
                                      BatcherOptions opts) {
-  validate_batcher_options(opts);
-  // The registered name is the observability scope: every fleet serving
-  // this name feeds the same dsx_serve_*{model=name} series.
-  opts.metric_model = name;
-  if (opts.replicas > 1) {
-    register_model_sharded(name, std::move(model), to_shard_options(opts));
-    return;
-  }
-  DSX_REQUIRE(model != nullptr, "register_model: null model");
-  auto entry = std::make_shared<Entry>();
-  entry->model = std::move(model);
-  entry->model->set_metric_scope(name);  // arena occupancy gauges
-  entry->batcher = std::make_unique<DynamicBatcher>(*entry->model, opts);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DSX_REQUIRE(!stopped_, "register_model: server is stopped");
-    DSX_REQUIRE(models_.find(name) == models_.end(),
-                "register_model: '" << name << "' already registered");
-    models_.emplace(name, std::move(entry));
-  }
-  obs::Journal::global().record(obs::EventKind::kRegister, name,
-                                "single batcher");
+  register_model_sharded(name, std::move(model), to_shard_options(opts));
 }
 
 void InferenceServer::register_model_sharded(const std::string& name,
@@ -165,20 +124,23 @@ void InferenceServer::register_model_sharded(const std::string& name,
                 "register_model: '" << name << "' already registered");
   }
   // Compile the replica fleet WITHOUT the registry lock: clone compilation
-  // is slow and must not block serving of other models.
+  // is slow and must not block serving of other models. The registered name
+  // is the observability scope: every fleet serving this name feeds the
+  // same dsx_serve_*{model=name} series.
   opts.metric_model = name;
-  auto entry = std::make_shared<Entry>();
-  entry->replicas = std::make_unique<shard::ReplicaSet>(std::move(model), opts);
+  auto fleet = std::make_shared<shard::ReplicaSet>(std::move(model), opts);
   {
     std::lock_guard<std::mutex> lock(mu_);
     DSX_REQUIRE(!stopped_, "register_model: server is stopped");
     DSX_REQUIRE(models_.find(name) == models_.end(),
                 "register_model: '" << name << "' already registered");
-    models_.emplace(name, std::move(entry));
+    models_.emplace(name, std::move(fleet));
   }
   obs::Journal::global().record(
       obs::EventKind::kRegister, name,
-      "sharded, replicas=" + std::to_string(opts.replicas));
+      opts.replicas == 1
+          ? std::string("single batcher")
+          : "sharded, replicas=" + std::to_string(opts.replicas));
 }
 
 void InferenceServer::unregister_model(const std::string& name) {
@@ -193,7 +155,7 @@ void InferenceServer::unregister_model(const std::string& name) {
   }
   // Drain outside the lock: queued requests execute here, and blocking the
   // registry for the duration would stall serving of every other model. The
-  // Entry itself dies when the last concurrent submit releases its ref.
+  // fleet itself dies when the last concurrent submit releases its ref.
   removed->stop();
   obs::Journal::global().record(obs::EventKind::kUnregister, name);
 }
@@ -213,7 +175,7 @@ SwapReport InferenceServer::install_and_drain(const std::string& name,
   // From here every new submit resolves the fresh fleet. The displaced
   // fleet's drain answers its whole queue with the OLD model - the version
   // that accepted those requests - so the swap drops nothing.
-  const SwapReport report = displaced->drain();
+  const SwapReport report = drain(*displaced);
   {
     char detail[96];
     std::snprintf(detail, sizeof(detail), "drained %lld in %.2f ms",
@@ -226,29 +188,18 @@ SwapReport InferenceServer::install_and_drain(const std::string& name,
 SwapReport InferenceServer::swap_model(const std::string& name,
                                        std::unique_ptr<CompiledModel> model,
                                        BatcherOptions opts) {
-  validate_batcher_options(opts);
-  opts.metric_model = name;  // swapped fleets keep feeding the name's series
-  DSX_REQUIRE(model != nullptr, "swap_model: null model");
-  if (opts.replicas > 1) {
-    return swap_model_sharded(name, std::move(model), to_shard_options(opts));
-  }
-  auto fresh = std::make_shared<Entry>();
-  fresh->model = std::move(model);
-  fresh->model->set_metric_scope(name);  // fresh plan keeps the name's gauges
-  fresh->batcher = std::make_unique<DynamicBatcher>(*fresh->model, opts);
-  return install_and_drain(name, std::move(fresh));
+  return swap_model_sharded(name, std::move(model), to_shard_options(opts));
 }
 
 SwapReport InferenceServer::swap_model_sharded(const std::string& name,
                                                std::unique_ptr<CompiledModel> model,
                                                shard::ShardOptions opts) {
   DSX_REQUIRE(model != nullptr, "swap_model: null model");
-  opts.metric_model = name;
+  opts.metric_model = name;  // swapped fleets keep feeding the name's series
   // Compile the replacement fleet before touching the registry: the old
   // fleet keeps serving until the new one is ready to take every request.
-  auto fresh = std::make_shared<Entry>();
-  fresh->replicas = std::make_unique<shard::ReplicaSet>(std::move(model), opts);
-  return install_and_drain(name, std::move(fresh));
+  return install_and_drain(
+      name, std::make_shared<shard::ReplicaSet>(std::move(model), opts));
 }
 
 SwapReport InferenceServer::swap_model_with(const std::string& name,
@@ -276,7 +227,7 @@ SwapReport InferenceServer::swap_model_with(const std::string& name,
     name_it->second = std::move(donor_it->second);
     models_.erase(donor_it);
   }
-  const SwapReport report = displaced->drain();
+  const SwapReport report = drain(*displaced);
   obs::Journal::global().record(obs::EventKind::kSwap, name,
                                 "donor '" + donor + "' installed");
   return report;
@@ -303,9 +254,14 @@ InferenceServer::EntryPtr InferenceServer::entry(
   return it->second;
 }
 
-template <typename Submit>
-std::future<Tensor> InferenceServer::submit_with_retry(
-    const std::string& name, const Submit& submit_fn) {
+std::future<Tensor> InferenceServer::submit(const std::string& name,
+                                            const Tensor& image) {
+  return submit(name, image, {});
+}
+
+std::future<Tensor> InferenceServer::submit(const std::string& name,
+                                            const Tensor& image,
+                                            shard::SubmitOptions sopts) {
   // Hot-swap retry loop: the shared_ptr keeps the resolved fleet alive for
   // the duration of the call, and a fleet displaced between resolution and
   // enqueue throws Stopped - re-resolve and land on its replacement. The
@@ -315,26 +271,13 @@ std::future<Tensor> InferenceServer::submit_with_retry(
   for (int attempt = 0; attempt < 64; ++attempt) {
     EntryPtr e = entry(name);
     try {
-      return submit_fn(*e);
+      return e->submit(image, sopts);
     } catch (const Stopped&) {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopped_) throw;  // server shutdown, not a swap: propagate
     }
   }
   throw Error("submit: model '" + name + "' kept swapping; giving up");
-}
-
-std::future<Tensor> InferenceServer::submit(const std::string& name,
-                                            const Tensor& image) {
-  return submit_with_retry(
-      name, [&](Entry& e) { return e.submit(image); });
-}
-
-std::future<Tensor> InferenceServer::submit(const std::string& name,
-                                            const Tensor& image,
-                                            shard::SubmitOptions sopts) {
-  return submit_with_retry(
-      name, [&](Entry& e) { return e.submit(image, sopts); });
 }
 
 Tensor InferenceServer::infer(const std::string& name, const Tensor& image) {
@@ -345,29 +288,27 @@ ModelStats InferenceServer::stats(const std::string& name) const {
   const EntryPtr e = entry(name);
   ModelStats s;
   s.name = name;
-  if (e->replicas != nullptr) {
-    s.compile = e->replicas->prototype_report();
-    s.shard = e->replicas->stats();
-    // Aggregate the fleet into the legacy BatcherStats view so one-field
-    // migrations (replicas = R) keep existing stats consumers honest:
-    // requests/batches sum across replicas, latency/qps come from the
-    // shard-wide aggregates.
-    for (const shard::ReplicaStats& rs : s.shard->per_replica) {
-      s.batcher.requests += rs.batcher.batcher.requests;
-      s.batcher.batches += rs.batcher.batcher.batches;
-    }
-    s.batcher.avg_batch =
-        s.batcher.batches > 0
-            ? static_cast<double>(s.batcher.requests) /
-                  static_cast<double>(s.batcher.batches)
-            : 0.0;
-    s.batcher.qps = s.shard->qps;
-    s.batcher.latency = s.shard->latency;
-    s.batcher.latency_buckets = s.shard->latency_buckets;
-  } else {
-    s.compile = e->model->report();
-    s.batcher = e->batcher->stats();
+  s.compile = e->prototype_report();
+  if (e->replicas() == 1) {
+    s.batcher = e->replica_batcher(0).stats().batcher;
+    return s;
   }
+  s.shard = e->stats();
+  // Aggregate the fleet into the legacy BatcherStats view so one-field
+  // migrations (replicas = R) keep existing stats consumers honest:
+  // requests/batches sum across replicas, latency/qps come from the
+  // shard-wide aggregates.
+  for (const shard::ReplicaStats& rs : s.shard->per_replica) {
+    s.batcher.requests += rs.batcher.batcher.requests;
+    s.batcher.batches += rs.batcher.batcher.batches;
+  }
+  s.batcher.avg_batch = s.batcher.batches > 0
+                            ? static_cast<double>(s.batcher.requests) /
+                                  static_cast<double>(s.batcher.batches)
+                            : 0.0;
+  s.batcher.qps = s.shard->qps;
+  s.batcher.latency = s.shard->latency;
+  s.batcher.latency_buckets = s.shard->latency_buckets;
   return s;
 }
 

@@ -1,13 +1,13 @@
 // Multi-model inference front-end.
 //
 // An InferenceServer owns a registry of named models and routes requests by
-// name. Each model serves either through a single DynamicBatcher (the
-// default) or, when registered with BatcherOptions::replicas > 1, through a
-// dsx::shard::ReplicaSet - R independently compiled replicas with private
-// execution lanes and priority/deadline-aware batchers. This is the
-// process-local shape of the roadmap's serving tier: N models x M client
-// threads, with per-model throughput/latency stats exported from the
-// lock-free device::LatencyStats counters.
+// name. Every model serves through a dsx::shard::ReplicaSet: by default one
+// replica whose priority/deadline-aware batcher runs on the global pool,
+// and with BatcherOptions::replicas > 1 R independently compiled replicas
+// with private execution lanes. This is the process-local shape of the
+// roadmap's serving tier: N models x M client threads, with per-model
+// throughput/latency stats exported from the lock-free device::LatencyStats
+// counters.
 //
 // Registry entries are replaceable at runtime (dsx::deploy's hot-swap):
 // swap_model* installs a freshly compiled fleet under a live name and drains
@@ -35,9 +35,10 @@
 
 namespace dsx::serve {
 
-/// Per-model observability snapshot. For sharded models `batcher` is the
-/// fleet-wide aggregate (requests/batches summed, shard-wide latency/qps)
-/// and `shard` carries the full per-replica breakdown.
+/// Per-model observability snapshot. For sharded models (replicas > 1)
+/// `batcher` is the fleet-wide aggregate (requests/batches summed,
+/// shard-wide latency/qps) and `shard` carries the full per-replica
+/// breakdown; a one-replica model reports its batcher and no `shard`.
 struct ModelStats {
   std::string name;
   CompileReport compile;
@@ -90,7 +91,7 @@ class InferenceServer {
   void unregister_model(const std::string& name);
 
   /// Zero-downtime hot-swap: atomically replaces `name`'s serving fleet
-  /// with a fresh single-batcher fleet for `model`, then drains the
+  /// with a fresh fleet for `model` (opts.replicas replicas), then drains the
   /// displaced fleet (its queued requests are answered by the OLD model -
   /// the version that accepted them). Concurrent submits never fail from
   /// the swap: they re-resolve onto the new fleet. Stats counters restart
@@ -117,9 +118,9 @@ class InferenceServer {
 
   /// Async single-image inference on the named model. Thread-safe.
   std::future<Tensor> submit(const std::string& name, const Tensor& image);
-  /// Priority/deadline-aware submission. Works on every model: sharded
-  /// models route through their ReplicaSet, single-replica models get the
-  /// same EDF ordering and deadline shedding from their batcher's engine.
+  /// Priority/deadline-aware submission. Works on every model: the
+  /// ReplicaSet routes it to a replica whose batcher applies EDF ordering
+  /// and deadline shedding.
   std::future<Tensor> submit(const std::string& name, const Tensor& image,
                              shard::SubmitOptions sopts);
   /// Blocking convenience wrapper.
@@ -194,28 +195,12 @@ class InferenceServer {
   void stop();
 
  private:
-  struct Entry {
-    std::unique_ptr<CompiledModel> model;        // null when sharded
-    std::unique_ptr<DynamicBatcher> batcher;     // single-replica path
-    std::unique_ptr<shard::ReplicaSet> replicas;  // sharded path
-
-    std::future<Tensor> submit(const Tensor& image);
-    std::future<Tensor> submit(const Tensor& image,
-                               shard::SubmitOptions sopts);
-    /// Stops the fleet and returns what the drain answered.
-    SwapReport drain();
-    int64_t answered() const;
-    void stop();
-  };
-  using EntryPtr = std::shared_ptr<Entry>;
+  using EntryPtr = std::shared_ptr<shard::ReplicaSet>;
 
   EntryPtr entry(const std::string& name) const;
   /// Exchanges `name`'s entry for `fresh` under the lock, then drains the
   /// displaced fleet outside it.
   SwapReport install_and_drain(const std::string& name, EntryPtr fresh);
-  template <typename Submit>
-  std::future<Tensor> submit_with_retry(const std::string& name,
-                                        const Submit& submit_fn);
 
   mutable std::mutex mu_;
   bool stopped_ = false;

@@ -30,7 +30,7 @@ DeadlineBatcher::DeadlineBatcher(serve::CompiledModel& model,
       max_batch_(0),
       max_delay_(opts.max_delay),
       queue_capacity_(opts.queue_capacity),
-      lane_(opts.lane),
+      lane_(opts.lane != nullptr ? opts.lane : &device::ThreadPool::current()),
       manual_drain_(opts.manual_drain) {
   serve::validate_batching_limits("DeadlineBatcherOptions", opts.max_batch,
                                   opts.max_delay, opts.queue_capacity);
@@ -206,20 +206,13 @@ void DeadlineBatcher::answer(std::deque<serve::Request>& batch,
     shed.clear();
   }
   if (batch.empty()) return;
-  if (lane_ != nullptr) {
-    // Private lane: bind it so every kernel the plan launches lands on this
-    // replica's threads. No process-wide execution lock - lanes are
-    // independent devices.
-    device::PoolScope scope(*lane_);
-    core_.execute(batch, [this](const Tensor& images) {
-      return core_.model().run(images);
-    });
-  } else {
-    core_.execute(batch, [this](const Tensor& images) {
-      std::lock_guard<std::mutex> lock(serve::execution_mutex());
-      return core_.model().run(images);
-    });
-  }
+  // Bind the lane so every kernel the plan launches lands on its threads;
+  // the lane's run_chunks serializes this batcher against every other user
+  // of the same pool.
+  device::PoolScope scope(*lane_);
+  core_.execute(batch, [this](const Tensor& images) {
+    return core_.model().run(images);
+  });
   outstanding_.fetch_sub(static_cast<int64_t>(batch.size()),
                          std::memory_order_relaxed);
   batch.clear();

@@ -1,4 +1,4 @@
-// Priority/deadline-aware micro-batching on a private execution lane.
+// Priority/deadline-aware micro-batching on an execution lane.
 //
 // DeadlineBatcher extends the serving tier's micro-batching contract
 // (serve/batcher.hpp) with three scheduling features the FIFO batcher lacks:
@@ -17,12 +17,12 @@
 //   * bounded-queue admission control: submit() throws serve::QueueFull at
 //     capacity, giving callers synchronous backpressure.
 //
-// Execution lane: when constructed with a lane ThreadPool the batcher binds
-// it (device::PoolScope) around every CompiledModel::run, so its kernels
-// execute on the lane's threads and DO NOT take the process-wide execution
-// lock - this is what lets shard::ReplicaSet run R replicas genuinely
-// concurrently. Without a lane it behaves like DynamicBatcher: global pool,
-// global execution lock.
+// Execution lane: the batcher binds its lane ThreadPool (device::PoolScope)
+// around every CompiledModel::run, so its kernels execute on the lane's
+// threads. The lane's run_chunks serializes its callers, so batchers that
+// share a pool take turns launch by launch, while batchers on distinct lanes
+// run genuinely concurrently - this is what lets shard::ReplicaSet scale
+// across R replicas.
 #pragma once
 
 #include <chrono>
@@ -47,9 +47,9 @@ struct DeadlineBatcherOptions {
   /// Bounded queue: submit() throws serve::QueueFull once this many
   /// requests wait. 0 = unbounded.
   int64_t queue_capacity = 0;
-  /// Execution lane; kernels run on this pool under a device::PoolScope and
-  /// skip the process-wide execution lock. Must outlive the batcher.
-  /// nullptr = shared global pool + execution lock.
+  /// Execution lane; kernels run on this pool under a device::PoolScope.
+  /// Must outlive the batcher. nullptr = the pool current on the
+  /// constructing thread (device::ThreadPool::current()).
   device::ThreadPool* lane = nullptr;
   /// No worker thread; the owner forms/executes batches via drain_one()
   /// (deterministic tests, external event loops). stop() drains whatever is
@@ -139,8 +139,8 @@ class DeadlineBatcher {
   void form_batch_locked(std::chrono::steady_clock::time_point now,
                          std::deque<serve::Request>& batch,
                          std::deque<serve::Request>& shed);
-  /// Answers `shed` with DeadlineExceeded and `batch` via the lane (or the
-  /// locked global pool). Call WITHOUT mu_ held.
+  /// Answers `shed` with DeadlineExceeded and `batch` on the lane. Call
+  /// WITHOUT mu_ held.
   void answer(std::deque<serve::Request>& batch,
               std::deque<serve::Request>& shed);
   /// Inserts at the request's EDF position (the single definition of the

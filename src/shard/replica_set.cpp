@@ -23,12 +23,18 @@ ReplicaSet::ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
                                   opts.max_delay, opts.queue_capacity);
   // Partition the host's worker budget across lanes. The budget is the
   // CURRENT pool's size so a ReplicaSet constructed inside another lane
-  // subdivides that lane, not the whole machine.
-  const unsigned budget = device::ThreadPool::current().size();
+  // subdivides that lane, not the whole machine. A lone replica that would
+  // get the whole budget runs on that pool itself instead of a copy of it.
+  device::ThreadPool& current = device::ThreadPool::current();
+  const bool shares_pool = opts.replicas == 1 && opts.lane_threads == 0;
   const unsigned per_lane =
       opts.lane_threads > 0
           ? opts.lane_threads
-          : std::max(1u, budget / static_cast<unsigned>(opts.replicas));
+          : std::max(1u,
+                     current.size() / static_cast<unsigned>(opts.replicas));
+  // Replica labels and routing counters describe a fleet; a single replica
+  // exports under {model} alone.
+  const bool fleet = opts.replicas > 1;
 
   // Phase 1: compile the whole fleet. Replica 0 is the prototype itself;
   // its plan was compiled on the caller's pool (typically wider than the
@@ -42,13 +48,18 @@ ReplicaSet::ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
   replicas_.reserve(static_cast<size_t>(opts.replicas));
   for (int r = 0; r < opts.replicas; ++r) {
     Replica rep;
-    // Scoped fleets name their lanes ("<model>/lane<r>") so the profiler's
-    // resource layer exports per-lane busy/idle utilization; unscoped
-    // fleets keep anonymous (unexported) lanes.
-    rep.lane = std::make_unique<device::ThreadPool>(
-        per_lane, opts.metric_model.empty()
-                      ? std::string{}
-                      : opts.metric_model + "/lane" + std::to_string(r));
+    if (shares_pool) {
+      rep.lane = &current;
+    } else {
+      // Scoped fleets name their lanes ("<model>/lane<r>") so the profiler's
+      // resource layer exports per-lane busy/idle utilization; unscoped
+      // fleets keep anonymous (unexported) lanes.
+      rep.own_lane = std::make_unique<device::ThreadPool>(
+          per_lane, opts.metric_model.empty()
+                        ? std::string{}
+                        : opts.metric_model + "/lane" + std::to_string(r));
+      rep.lane = rep.own_lane.get();
+    }
     if (r == 0) {
       rep.model = std::move(prototype);
     } else {
@@ -57,7 +68,7 @@ ReplicaSet::ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
           replicas_.front().model->options().tuning);
     }
     if (!opts.metric_model.empty()) {
-      rep.model->set_metric_scope(opts.metric_model, r);  // arena gauges
+      rep.model->set_metric_scope(opts.metric_model, fleet ? r : -1);
     }
     replicas_.push_back(std::move(rep));
   }
@@ -71,10 +82,10 @@ ReplicaSet::ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
     bopts.max_batch = opts.max_batch;
     bopts.max_delay = opts.max_delay;
     bopts.queue_capacity = opts.queue_capacity;
-    bopts.lane = rep.lane.get();
+    bopts.lane = rep.lane;
     bopts.metric_model = opts.metric_model;
-    bopts.metric_replica = static_cast<int>(r);
-    if (!opts.metric_model.empty()) {
+    bopts.metric_replica = fleet ? static_cast<int>(r) : -1;
+    if (fleet && !opts.metric_model.empty()) {
       routed_[r] = obs::Registry::global().counter(
           "dsx_shard_routed_total",
           {{"model", opts.metric_model}, {"replica", std::to_string(r)}},

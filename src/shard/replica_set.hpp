@@ -11,8 +11,12 @@
 //   * its own DeadlineBatcher (per-replica queue, priorities, deadlines);
 //   * its own execution lane - a private device::ThreadPool holding an even
 //     partition of the host's worker budget - so replicas genuinely run
-//     concurrently instead of serializing on the process-wide execution
-//     lock.
+//     concurrently instead of taking turns on one pool.
+//
+// A single replica that would get the whole budget (replicas == 1,
+// lane_threads == 0) runs on the current pool itself; that is how
+// serve::InferenceServer serves every unsharded model. A single replica
+// exports {model} series only (no replica label, no routing counter).
 //
 // A Router spreads submissions across replicas (round-robin /
 // least-outstanding / power-of-two-choices); outputs remain bit-identical
@@ -42,14 +46,16 @@ struct ShardOptions {
   std::chrono::microseconds max_delay{2000};
   int64_t queue_capacity = 0;
   /// Threads per execution lane; 0 = an even partition of the current
-  /// pool's thread budget (max(1, threads / replicas)). On small hosts this
-  /// degenerates to single-thread lanes, which also skip all intra-op
-  /// hand-off overhead - more inter-request parallelism instead.
+  /// pool's thread budget (max(1, threads / replicas)), and for a single
+  /// replica the current pool itself. On small hosts this degenerates to
+  /// single-thread lanes, which also skip all intra-op hand-off overhead -
+  /// more inter-request parallelism instead.
   unsigned lane_threads = 0;
   /// Observability scope: non-empty registers per-replica dsx_serve_*
   /// series (labels {model,replica}) and dsx_shard_routed_total routing
-  /// counters in obs::Registry. Empty = no export. InferenceServer sets
-  /// this to the registered model name.
+  /// counters in obs::Registry; a single replica registers {model} series
+  /// only. Empty = no export. InferenceServer sets this to the registered
+  /// model name.
   std::string metric_model;
 };
 
@@ -118,7 +124,8 @@ class ReplicaSet {
  private:
   struct Replica {
     std::unique_ptr<serve::CompiledModel> model;
-    std::unique_ptr<device::ThreadPool> lane;
+    std::unique_ptr<device::ThreadPool> own_lane;  // null when sharing a pool
+    device::ThreadPool* lane = nullptr;
     std::unique_ptr<DeadlineBatcher> batcher;  // declared last: stops first
   };
 

@@ -91,6 +91,79 @@ TEST(ThreadPool, GlobalPoolExists) {
   EXPECT_GE(ThreadPool::global().size(), 1u);
 }
 
+TEST(ThreadPool, ConcurrentCallersSerialize) {
+  // Callers of one pool take turns: every call still covers its own range
+  // exactly once, and none of them throws.
+  ThreadPool pool(4);
+  constexpr int kCallers = 6;
+  constexpr int kCalls = 200;
+  std::atomic<int> bad_calls{0};
+  std::atomic<int> throws{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int call = 0; call < kCalls; ++call) {
+        const int64_t total = 1000 + 37 * t + call % 5;
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(total));
+        try {
+          pool.run_chunks(total, [&](int64_t b, int64_t e) {
+            for (int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)]++;
+          });
+        } catch (...) {
+          throws.fetch_add(1);
+        }
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(throws.load(), 0);
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+TEST(ThreadPool, NestedRunChunksRunsInline) {
+  // A parallel_for launched from inside a chunk - the caller's chunk 0 and
+  // the worker chunks alike - targets the same pool and runs inline on the
+  // chunk's thread instead of deadlocking or throwing.
+  ThreadPool pool(4);
+  constexpr int64_t kInner = 1000;
+  std::atomic<int64_t> sum{0};
+  std::atomic<int> worker_chunks{0};
+  std::atomic<int> off_thread{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.run_chunks(4, [&](int64_t b, int64_t e) {
+    const std::thread::id self = std::this_thread::get_id();
+    if (b == 0) {
+      // Hold chunk 0 until the other three ran, so they run on workers.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (worker_chunks.load() < 3 &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+    }
+    PoolScope scope(pool);
+    for (int64_t c = b; c < e; ++c) {
+      parallel_for(
+          kInner,
+          [&](int64_t i) {
+            if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+            sum.fetch_add(i, std::memory_order_relaxed);
+          },
+          /*grain=*/1);
+    }
+    if (self != caller) worker_chunks.fetch_add(1);
+  });
+  EXPECT_EQ(sum.load(), 4 * (kInner * (kInner - 1) / 2));
+  EXPECT_EQ(worker_chunks.load(), 3);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
 // ---- parallel_for -------------------------------------------------------------
 
 TEST(ParallelFor, MatchesSerialSum) {
@@ -352,8 +425,8 @@ TEST(PoolScope, CurrentDefaultsToGlobalAndBindsPerThread) {
 
 TEST(PoolScope, ParallelForRunsOnBoundLane) {
   // Two lanes execute parallel loops concurrently without touching the
-  // global pool's non-reentrant run_chunks: this is the property that lets
-  // shard replicas run without the process-wide execution lock.
+  // global pool: this is the property that lets shard replicas run
+  // concurrently instead of taking turns on one pool's run_chunks.
   ThreadPool lane_a(2), lane_b(2);
   std::atomic<int64_t> sum{0};
   std::thread ta([&] {

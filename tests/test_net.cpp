@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -28,6 +29,7 @@
 #include "common/check.hpp"
 #include "common/socket_io.hpp"
 #include "deploy/deploy.hpp"
+#include "device/thread_pool.hpp"
 #include "net/net.hpp"
 #include "obs/http_exporter.hpp"
 #include "obs/journal.hpp"
@@ -248,6 +250,45 @@ TEST(NetProtocol, PayloadRejectsHostileShapes) {
 
 // ---- wire robustness -------------------------------------------------------
 
+/// Stalls execution on the global pool - the device every unsharded model
+/// runs on - for the stall's lifetime: a helper thread holds a one-chunk
+/// run_chunks call open, so every batch waits for its turn at its first
+/// parallel launch. The constructor returns only once the helper is inside
+/// its chunk.
+class PoolStall {
+ public:
+  PoolStall()
+      : helper_([this] {
+          device::ThreadPool::global().run_chunks(1, [this](int64_t, int64_t) {
+            std::unique_lock<std::mutex> lock(mu_);
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return released_; });
+          });
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  ~PoolStall() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    helper_.join();
+  }
+
+  PoolStall(const PoolStall&) = delete;
+  PoolStall& operator=(const PoolStall&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+  std::thread helper_;  // declared last: starts after the state above
+};
+
 /// One server + one registered model + one running ingress.
 struct WireRig {
   serve::InferenceServer server;
@@ -419,7 +460,7 @@ TEST(NetWire, DisconnectMidReplyNeverLeaksOrCrashes) {
   {
     // Stall execution so the reply is guaranteed to complete only after the
     // peer is gone.
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    PoolStall stall;
     const int fd = sockio::connect_tcp("127.0.0.1", rig.port(),
                                        std::chrono::milliseconds(5000));
     ASSERT_TRUE(sockio::send_all(
@@ -523,7 +564,7 @@ TEST(NetWire, AdmissionErrorsArriveAsFramedReplies) {
   Client client = rig.client();
   std::vector<uint64_t> ids;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    PoolStall stall;
     for (int i = 0; i < 4; ++i) {
       ids.push_back(client.send("mnet", make_image(40 + i)));
     }
@@ -551,7 +592,7 @@ TEST(NetWire, ExpiredDeadlineComesBackTyped) {
   uint64_t blocked_id = 0;
   uint64_t doomed_id = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    PoolStall stall;
     blocked_id = client.send("mnet", make_image(50));
     // Give the first request time to enter execution (and block).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -593,7 +634,7 @@ TEST(NetTenant, QuotaRejectsTypedWithoutDroppingConnection) {
   Client client = rig.client("tok-a");  // max_inflight = 1
   uint64_t first = 0, second = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    PoolStall stall;
     first = client.send("mnet", make_image(4));
     second = client.send("mnet", make_image(5));
     // The second frame is parsed while the first is still in flight; the
@@ -796,6 +837,110 @@ TEST(NetResidency, MixedTenantWireTrafficUnderChurnZeroErrors) {
   EXPECT_NE(http.body.find("\"budget_floats\""), std::string::npos);
   EXPECT_NE(http.body.find("\"m0\""), std::string::npos);
   EXPECT_NE(http.body.find("\"evictions\""), std::string::npos);
+
+  ingress.stop();
+  server.stop();
+}
+
+TEST(NetResidency, CompileWhileServingHammer) {
+  // Every compile here - swap_model's, the sharded swap's replica clone,
+  // each residency fault-in - launches onto the global pool while wire
+  // clients are served from it. The pool's run_chunks is the only thing
+  // keeping those interleavings apart.
+  StoreRig rig("residency_hammer", 3);
+  serve::InferenceServer server;
+  ResidencyManager mgr(server, rig.store, rig.budget_for(2));
+  for (int i = 0; i < 3; ++i) mgr.add_model("m" + std::to_string(i), "v1");
+  const std::vector<deploy::ArchSpec> versions = {tiny_spec(600),
+                                                  tiny_spec(601)};
+  server.register_model("live", compile_spec(versions[0]));
+  IngressServer ingress(server, {}, &mgr);
+  ingress.start();
+
+  const Tensor image = make_image(80);
+  std::vector<Tensor> live_refs;
+  for (const deploy::ArchSpec& spec : versions) {
+    live_refs.push_back(compile_spec(spec)->run(image));
+  }
+  std::vector<Tensor> managed_refs;
+  for (int i = 0; i < 3; ++i) {
+    managed_refs.push_back(
+        rig.store
+            .compile("m" + std::to_string(i), "v1",
+                     serve::CompileOptions{.max_batch = 4})
+            ->run(image));
+  }
+
+  std::atomic<bool> storm_done{false};
+  std::atomic<int> fault_in_errors{0};
+  std::thread swapper([&] {
+    // The storm alternates versions; one swap lands on a sharded fleet.
+    for (int s = 0; s < 6; ++s) {
+      serve::BatcherOptions opts;
+      if (s == 2) opts.replicas = 2;
+      server.swap_model("live", compile_spec(versions[(s + 1) % 2]), opts);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    storm_done.store(true);
+  });
+  std::thread churner([&] {
+    // Budget for two of three models: every round evicts one and faults
+    // another back in, compiling from the store.
+    for (int i = 0; !storm_done.load() || i < 6; ++i) {
+      const int m = i % 3;
+      try {
+        const Tensor y = mgr.infer("m" + std::to_string(m), image);
+        if (!bit_identical(y, managed_refs[static_cast<size_t>(m)])) {
+          fault_in_errors.fetch_add(1);
+        }
+      } catch (const std::exception&) {
+        fault_in_errors.fetch_add(1);
+      }
+    }
+  });
+
+  constexpr int kClients = 3;
+  constexpr int kWindow = 4;
+  std::atomic<int> sent{0};
+  std::atomic<int> answered{0};
+  std::atomic<int> not_ok{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      Client client({.host = "127.0.0.1", .port = ingress.port()});
+      for (int round = 0; !storm_done.load() || round < 4; ++round) {
+        std::vector<uint64_t> ids;
+        for (int k = 0; k < kWindow; ++k) {
+          ids.push_back(client.send("live", image));
+          sent.fetch_add(1);
+        }
+        for (uint64_t id : ids) {
+          const ReplyFrame reply = client.recv(id);
+          answered.fetch_add(1);
+          if (reply.status != Status::kOk) {
+            not_ok.fetch_add(1);
+          } else if (!bit_identical(reply.output, live_refs[0]) &&
+                     !bit_identical(reply.output, live_refs[1])) {
+            mismatched.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  swapper.join();
+  churner.join();
+
+  EXPECT_EQ(answered.load(), sent.load()) << "every frame answered";
+  const IngressServer::Stats st = ingress.stats();
+  EXPECT_EQ(st.frames, static_cast<uint64_t>(sent.load()));
+  EXPECT_EQ(st.replies, st.frames) << "exactly once over the wire";
+  EXPECT_EQ(st.dropped_replies, 0u);
+  EXPECT_EQ(not_ok.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(fault_in_errors.load(), 0);
+  EXPECT_GT(mgr.stats().evictions, 0);
 
   ingress.stop();
   server.stop();

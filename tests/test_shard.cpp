@@ -615,5 +615,35 @@ TEST(ShardedServer, DeadlineSubmitOnShardedAndPlainModels) {
                serve::DeadlineExceeded);
 }
 
+TEST(ShardedServer, OneReplicaKeepsTheUnshardedSurface) {
+  // Every registered name is a ReplicaSet, but a one-replica fleet must
+  // look exactly like a single batcher from the outside: it runs on the
+  // global pool (no lane), exports {model} series only, reports no shard
+  // breakdown, and journals as a single batcher - after a swap too.
+  serve::InferenceServer server;
+  server.register_model("solo", make_compiled(161));
+  const auto images = make_images(1, 162);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(server.infer("solo", images[0]).numel(), kClasses);
+    const serve::ModelStats stats = server.stats("solo");
+    EXPECT_FALSE(stats.shard.has_value());
+    EXPECT_EQ(stats.batcher.requests, 1);
+    for (const auto& pool : device::ThreadPool::pool_stats()) {
+      EXPECT_EQ(pool.name.find("solo/"), std::string::npos) << pool.name;
+    }
+    const std::string text = server.export_metrics_text();
+    EXPECT_NE(text.find("dsx_serve_requests_total{model=\"solo\"} "),
+              std::string::npos);
+    EXPECT_EQ(text.find("model=\"solo\",replica="), std::string::npos);
+    EXPECT_EQ(text.find("dsx_shard_routed_total{model=\"solo\""),
+              std::string::npos);
+    if (round == 0) server.swap_model("solo", make_compiled(163));
+  }
+  const std::string journal = server.journal().to_text();
+  EXPECT_NE(journal.find("solo"), std::string::npos);
+  EXPECT_NE(journal.find("single batcher"), std::string::npos);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace dsx::shard
