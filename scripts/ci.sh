@@ -330,9 +330,10 @@ if [[ "${SANITIZE}" == "1" ]]; then
   # letter: obs::intern() (concurrent span recorders dereference its
   # pointers forever), the exemplar seqlock (atomic payloads ordered by
   # fences - a plain-field version was a real data race), the thread pool's
-  # caller serialization and nested inline launches, and its busy/idle
+  # caller serialization and nested inline launches, its busy/idle
   # accounting (relaxed counters read by concurrent pool_stats()
-  # snapshotters while workers accumulate).
+  # snapshotters while workers accumulate), and launch scheduling (a launch
+  # below the cost threshold runs inline beside a caller holding the turn).
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
@@ -343,7 +344,7 @@ if [[ "${SANITIZE}" == "1" ]]; then
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
 
   echo "== thread-pool tests (TSan) =="
-  ./build-tsan/test_device --gtest_filter='ThreadPool.*:PoolAccounting.*'
+  ./build-tsan/test_device --gtest_filter='ThreadPool.*:PoolAccounting.*:Launch.*'
 
   echo "== net ingress + residency tests (TSan) =="
   # The whole suite is TSan-clean: the event thread owns all connection

@@ -1,6 +1,7 @@
 #include "common/check.hpp"
 #include "core/scc_kernels.hpp"
 #include "device/launch.hpp"
+#include "ops/activations.hpp"
 
 namespace dsx::scc {
 
@@ -24,7 +25,8 @@ namespace {
 template <typename StartFn>
 void scc_forward_impl(const Tensor& input, const Tensor& weight,
                       const Tensor* bias, const ChannelWindowMap& map,
-                      const char* kernel_name, StartFn start_of, Tensor& out) {
+                      const char* kernel_name, StartFn start_of, Tensor& out,
+                      bool fuse_relu) {
   const SCCConfig& cfg = map.config();
   const Shape out_shape = scc_output_shape(input.shape(), map);
   DSX_REQUIRE(out.shape() == out_shape,
@@ -74,6 +76,11 @@ void scc_forward_impl(const Tensor& input, const Tensor& weight,
               }
             }
           }
+          if (fuse_relu) {
+            for (int64_t j = 0; j < planeo; ++j) {
+              out_p[j] = relu_value(out_p[j]);
+            }
+          }
         }
       });
 }
@@ -89,11 +96,12 @@ Tensor scc_forward(const Tensor& input, const Tensor& weight,
 
 void scc_forward_into(const Tensor& input, const Tensor& weight,
                       const Tensor* bias, const ChannelWindowMap& map,
-                      Tensor& out) {
+                      Tensor& out, bool fuse_relu) {
   // Channel-cyclic optimization (Algorithm 2): window starts come from the
   // precomputed one-cycle table, indexed by f % cyclic_dist.
   scc_forward_impl(input, weight, bias, map, "scc_forward",
-                   [&map](int64_t f) { return map.window(f).start; }, out);
+                   [&map](int64_t f) { return map.window(f).start; }, out,
+                   fuse_relu);
 }
 
 Tensor scc_forward_no_cycle_table(const Tensor& input, const Tensor& weight,
@@ -106,12 +114,13 @@ Tensor scc_forward_no_cycle_table(const Tensor& input, const Tensor& weight,
 
 void scc_forward_no_cycle_table_into(const Tensor& input, const Tensor& weight,
                                      const Tensor* bias,
-                                     const ChannelWindowMap& map, Tensor& out) {
+                                     const ChannelWindowMap& map, Tensor& out,
+                                     bool fuse_relu) {
   const int64_t step = map.step();
   const int64_t cin = map.config().in_channels;
   scc_forward_impl(
       input, weight, bias, map, "scc_forward_nocc",
-      [step, cin](int64_t f) { return (f * step) % cin; }, out);
+      [step, cin](int64_t f) { return (f * step) % cin; }, out, fuse_relu);
 }
 
 }  // namespace dsx::scc

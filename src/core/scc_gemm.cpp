@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
+#include "ops/activations.hpp"
 #include "ops/gemm.hpp"
 
 namespace dsx::scc {
@@ -101,7 +102,7 @@ Tensor scc_forward_gemm_ws(const Tensor& input, const Tensor& weight,
 
 void scc_forward_gemm_into(const Tensor& input, const Tensor& weight,
                            const Tensor* bias, const ChannelWindowMap& map,
-                           Workspace& ws, Tensor& out) {
+                           Workspace& ws, Tensor& out, bool fuse_relu) {
   const GemmDims d = resolve(input, weight, map);
   DSX_REQUIRE(out.shape() == scc_output_shape(input.shape(), map),
               "SCC gemm: out shape " << out.shape().to_string());
@@ -121,7 +122,11 @@ void scc_forward_gemm_into(const Tensor& input, const Tensor& weight,
     for (int64_t n = 0; n < d.N; ++n) {
       float* dst = out.data() + (n * d.Cout + f) * planeo;
       const float* src = y.data() + n * planeo;
-      for (int64_t j = 0; j < planeo; ++j) dst[j] = src[j];
+      if (fuse_relu) {
+        for (int64_t j = 0; j < planeo; ++j) dst[j] = relu_value(src[j]);
+      } else {
+        for (int64_t j = 0; j < planeo; ++j) dst[j] = src[j];
+      }
     }
   }
 }

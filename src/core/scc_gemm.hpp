@@ -37,10 +37,10 @@ Tensor scc_forward_gemm_ws(const Tensor& input, const Tensor& weight,
 /// GEMM (beta = 1) so each pixel accumulates b + w0*x0 + w1*x1 + ... in
 /// exactly the fused kernel's order. This is the form dsx::tune registers as
 /// a candidate; scc_forward_gemm_ws keeps the historical bias-after order
-/// for the §IV-B ablation benches.
+/// for the §IV-B ablation benches. `fuse_relu` as in scc_forward_into.
 void scc_forward_gemm_into(const Tensor& input, const Tensor& weight,
                            const Tensor* bias, const ChannelWindowMap& map,
-                           Workspace& ws, Tensor& out);
+                           Workspace& ws, Tensor& out, bool fuse_relu = false);
 
 /// Floats of scratch scc_forward_gemm_ws draws from the workspace.
 int64_t scc_gemm_workspace_floats(const Shape& input,

@@ -29,10 +29,11 @@ Tensor scc_forward(const Tensor& input, const Tensor& weight,
 
 /// Forward into a preallocated `out` of shape scc_output_shape(input, map);
 /// lets the serving runtime keep activations in a workspace arena.
-/// Bit-identical to scc_forward.
+/// Bit-identical to scc_forward. `fuse_relu` applies relu_value in the final
+/// store, bit-identical to relu_forward of the unfused output.
 void scc_forward_into(const Tensor& input, const Tensor& weight,
                       const Tensor* bias, const ChannelWindowMap& map,
-                      Tensor& out);
+                      Tensor& out, bool fuse_relu = false);
 
 /// Ablation of the channel-cyclic optimization (paper Algorithm 2): each
 /// filter recomputes its window start arithmetically instead of reusing the
@@ -47,7 +48,8 @@ Tensor scc_forward_no_cycle_table(const Tensor& input, const Tensor& weight,
 /// measure the cycle-table choice per shape instead of assuming it.
 void scc_forward_no_cycle_table_into(const Tensor& input, const Tensor& weight,
                                      const Tensor* bias,
-                                     const ChannelWindowMap& map, Tensor& out);
+                                     const ChannelWindowMap& map, Tensor& out,
+                                     bool fuse_relu = false);
 
 struct SCCGrads {
   Tensor dinput;

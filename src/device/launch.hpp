@@ -7,8 +7,18 @@
 // cost estimate + atomics performed) into the KernelLog when profiling is
 // active. gpusim replays those records through an analytic V100 model to
 // produce the paper's GPU-side figures.
+//
+// The same declaration schedules the launch on the CPU. Its declared work
+// is model threads x the larger of flops and bytes/4 per thread (a
+// streaming kernel is priced by the floats it moves). Below kInlineWork the
+// launch runs on its caller and takes no pool turn; above it, it fans out
+// over ThreadPool::current(). How much one CPU execution item holds (a
+// whole channel plane for DW/SCC, one float for ReLU) does not enter the
+// decision. A GrainOverride scope (dsx::tune's schedule axis) overrides it
+// by item count.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -22,6 +32,13 @@ struct KernelCosts {
   double flops_per_thread = 0.0;
   double bytes_per_thread = 0.0;
 };
+
+/// Declared work (flop-equivalents) below which a launch runs inline: about
+/// what the default kernels get through in one pool hand-off (6-19 us on a
+/// 4-core Xeon), so a smaller launch loses more to the hand-off than the
+/// other threads win back. Sized by sweeping 16k/64k/256k on the x1.0
+/// MobileNet-SCC plan: batch 8 was equal, batch 1 slower at 256k.
+inline constexpr double kInlineWork = 65536.0;
 
 /// One recorded kernel launch.
 struct KernelRecord {
@@ -41,7 +58,9 @@ class KernelLog {
   static KernelLog& instance();
 
   void set_enabled(bool on);
-  bool enabled() const;
+  /// One relaxed load: the whole cost record_launch pays per launch while
+  /// profiling is off.
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void append(KernelRecord record);
   std::vector<KernelRecord> snapshot() const;
@@ -49,8 +68,8 @@ class KernelLog {
 
  private:
   KernelLog() = default;
-  mutable std::mutex mu_;
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};
+  mutable std::mutex mu_;  // guards records_
   std::vector<KernelRecord> records_;
 };
 
@@ -65,9 +84,9 @@ class KernelProfileScope {
   bool was_enabled_;
 };
 
-/// Executes body(tid) for tid in [0, threads) on the pool, recording the
-/// launch when profiling is enabled. This is the single entry point all
-/// DSXplore kernels go through.
+/// Executes body(tid) for tid in [0, threads), inline or on the pool by
+/// declared work, recording the launch when profiling is enabled. This is
+/// the single entry point all DSXplore kernels go through.
 void launch_kernel(const char* name, int64_t threads, const KernelCosts& costs,
                    const std::function<void(int64_t)>& body);
 

@@ -16,6 +16,8 @@ int64_t effective_grain(int64_t requested) {
              : requested;
 }
 
+int64_t grain_override() { return t_grain_override; }
+
 GrainOverride::GrainOverride(int64_t grain) : saved_(t_grain_override) {
   if (grain > 0) t_grain_override = grain;
 }

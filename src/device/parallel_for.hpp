@@ -9,12 +9,12 @@
 // tiny loops serial (thread hand-off on a 2-core host costs more than the
 // work it would save).
 //
-// The grain threshold is a heuristic, and dsx::tune measures it instead of
-// trusting it: a GrainOverride scope substitutes a tuned grain for
+// Kernel launches (device/launch.hpp) do not use the grain: they decide by
+// declared cost. dsx::tune measures the schedule instead of trusting either
+// heuristic: a GrainOverride scope substitutes a tuned grain for
 // kDefaultGrain at every loop it dynamically encloses (call sites that pass
-// an explicit non-default grain keep their choice). With no scope active the
-// constant applies unchanged, so tuning-off behavior is bit-for-bit the
-// pre-tuning behavior.
+// an explicit non-default grain keep their choice) and for the cost rule at
+// every launch. With no scope active the heuristics apply unchanged.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,10 @@ inline constexpr int64_t kSerialGrain = std::numeric_limits<int64_t>::max();
 /// Grain a loop will actually use: `requested`, unless the caller asked for
 /// the library default while a GrainOverride scope is active on this thread.
 int64_t effective_grain(int64_t requested);
+
+/// Grain installed by the innermost GrainOverride on this thread; 0 when
+/// none is active.
+int64_t grain_override();
 
 /// RAII override of kDefaultGrain for the enclosed loops on this thread.
 /// `grain <= 0` installs nothing (tuning records use 0 for "library

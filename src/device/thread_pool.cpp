@@ -174,6 +174,19 @@ void ThreadPool::run_chunks(int64_t total,
   if (my_err) std::rethrow_exception(my_err);
 }
 
+void ThreadPool::run_inline(int64_t total,
+                            const std::function<void(int64_t, int64_t)>& fn) {
+  DSX_REQUIRE(total >= 0, "run_inline: negative range");
+  if (total == 0) return;
+  if (t_in_chunk || !pool_accounting_enabled()) {
+    fn(0, total);
+    return;
+  }
+  const int64_t t0 = mono_ns();
+  fn(0, total);
+  busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(
       []() -> unsigned {

@@ -52,8 +52,8 @@ class ThreadPool {
 
   const std::string& name() const { return name_; }
   /// Cumulative nanoseconds pool threads spent executing chunks (includes
-  /// the calling thread's chunk 0). Only accumulates while
-  /// pool_accounting_enabled(); monotone.
+  /// the calling thread's chunk 0 and run_inline calls). Only accumulates
+  /// while pool_accounting_enabled(); monotone.
   int64_t busy_ns() const { return busy_ns_.load(std::memory_order_relaxed); }
   /// Cumulative nanoseconds workers spent parked waiting for work. The
   /// calling thread never parks, so idle covers workers_ only; monotone.
@@ -78,6 +78,12 @@ class ThreadPool {
   /// running chunk - of any pool - runs fn(0, total) inline on the calling
   /// thread instead of waiting for a turn it already holds.
   void run_chunks(int64_t total,
+                  const std::function<void(int64_t, int64_t)>& fn);
+
+  /// Runs fn(0, total) on the calling thread without taking a turn: the
+  /// path for launches too small to pay a hand-off. Its time counts as busy
+  /// like chunk 0, unless it runs inside a chunk that is already counted.
+  void run_inline(int64_t total,
                   const std::function<void(int64_t, int64_t)>& fn);
 
   /// Process-wide pool; size from DSX_THREADS env var when set, else

@@ -1,5 +1,8 @@
 #include "net/client.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
@@ -12,6 +15,10 @@ namespace dsx::net {
 
 Client::Client(ClientOptions opts) : opts_(std::move(opts)) {
   fd_ = sockio::connect_tcp(opts_.host, opts_.port, opts_.io_timeout);
+  // One send() per request frame: without TCP_NODELAY a pipelined frame
+  // waits for the ACK of the one before it.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 Client::~Client() { close(); }

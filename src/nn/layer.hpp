@@ -47,6 +47,13 @@ class Layer {
   /// replicas, so every concrete layer must implement it.
   virtual std::unique_ptr<Layer> clone() const = 0;
 
+  /// Folds a ReLU that directly follows this layer into its output epilogue
+  /// (serve::CompiledModel's fusion pass erases the ReLU afterwards).
+  /// Returns false when the layer has no epilogue to fold into. A fused
+  /// layer is inference-only: eval forward applies the ReLU, training
+  /// forward and backward throw.
+  virtual bool fuse_relu() { return false; }
+
   /// Appends this layer's parameters (no-op for stateless layers).
   virtual void collect_params(std::vector<Param*>& out) { (void)out; }
 

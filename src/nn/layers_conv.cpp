@@ -4,8 +4,25 @@
 
 #include "common/check.hpp"
 #include "core/scc_gemm.hpp"
+#include "ops/activations.hpp"
 
 namespace dsx::nn {
+
+namespace {
+
+// A layer whose following ReLU was fused into it (Layer::fuse_relu) only
+// runs inference: the ReLU's mask is never cached for backward.
+void require_unfused(bool relu_fused, const Layer& layer) {
+  DSX_REQUIRE(!relu_fused,
+              layer.name() << ": ReLU fused for inference, not trainable");
+}
+
+// Eval-mode forward of a possibly fused layer: the ReLU the layer absorbed.
+Tensor apply_fused_relu(Tensor out, bool relu_fused) {
+  return relu_fused ? relu_forward(out) : out;
+}
+
+}  // namespace
 
 // ---- Conv2d ------------------------------------------------------------------
 
@@ -34,20 +51,26 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
-  return conv2d_forward(input, weight_.value,
-                        has_bias_ ? &bias_.value : nullptr, args_);
+  if (training) {
+    require_unfused(relu_fused_, *this);
+    cached_input_ = input;
+  }
+  return apply_fused_relu(
+      conv2d_forward(input, weight_.value, has_bias_ ? &bias_.value : nullptr,
+                     args_),
+      relu_fused_);
 }
 
 Tensor Conv2d::forward_inference(const Tensor& input, Workspace& ws) {
   Tensor out = ws.alloc_tensor(output_shape(input.shape()));
   tune::conv2d_forward_dispatch(input, weight_.value,
                                 has_bias_ ? &bias_.value : nullptr, args_, ws,
-                                out, &tuned_);
+                                out, &tuned_, relu_fused_);
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& doutput) {
+  require_unfused(relu_fused_, *this);
   DSX_REQUIRE(cached_input_.defined(), "Conv2d::backward before forward");
   Conv2dGrads g = conv2d_backward(cached_input_, weight_.value, doutput,
                                   args_, /*need_dinput=*/true, has_bias_);
@@ -63,9 +86,15 @@ std::unique_ptr<Layer> Conv2d::clone() const {
   copy->kernel_ = kernel_;
   copy->args_ = args_;
   copy->has_bias_ = has_bias_;
+  copy->relu_fused_ = relu_fused_;
   copy->weight_ = clone_param(weight_);
   if (has_bias_) copy->bias_ = clone_param(bias_);
   return copy;
+}
+
+bool Conv2d::fuse_relu() {
+  relu_fused_ = true;
+  return true;
 }
 
 void Conv2d::ensure_bias() {
@@ -115,20 +144,26 @@ DepthwiseConv2d::DepthwiseConv2d(int64_t channels, int64_t kernel,
 }
 
 Tensor DepthwiseConv2d::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
-  return depthwise_forward(input, weight_.value,
-                           has_bias_ ? &bias_.value : nullptr, args_);
+  if (training) {
+    require_unfused(relu_fused_, *this);
+    cached_input_ = input;
+  }
+  return apply_fused_relu(
+      depthwise_forward(input, weight_.value,
+                        has_bias_ ? &bias_.value : nullptr, args_),
+      relu_fused_);
 }
 
 Tensor DepthwiseConv2d::forward_inference(const Tensor& input, Workspace& ws) {
   Tensor out = ws.alloc_tensor(output_shape(input.shape()));
   tune::depthwise_forward_dispatch(input, weight_.value,
                                    has_bias_ ? &bias_.value : nullptr, args_,
-                                   ws, out, &tuned_);
+                                   ws, out, &tuned_, relu_fused_);
   return out;
 }
 
 Tensor DepthwiseConv2d::backward(const Tensor& doutput) {
+  require_unfused(relu_fused_, *this);
   DSX_REQUIRE(cached_input_.defined(),
               "DepthwiseConv2d::backward before forward");
   DepthwiseGrads g =
@@ -145,9 +180,15 @@ std::unique_ptr<Layer> DepthwiseConv2d::clone() const {
   copy->kernel_ = kernel_;
   copy->args_ = args_;
   copy->has_bias_ = has_bias_;
+  copy->relu_fused_ = relu_fused_;
   copy->weight_ = clone_param(weight_);
   if (has_bias_) copy->bias_ = clone_param(bias_);
   return copy;
+}
+
+bool DepthwiseConv2d::fuse_relu() {
+  relu_fused_ = true;
+  return true;
 }
 
 void DepthwiseConv2d::ensure_bias() {
@@ -224,19 +265,28 @@ void SCCConv::set_impl(SCCImpl impl) {
 }
 
 Tensor SCCConv::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
+  if (training) {
+    require_unfused(relu_fused_, *this);
+    cached_input_ = input;
+  }
   const Tensor* b = has_bias_ ? &bias_.value : nullptr;
+  Tensor out;
   switch (impl_) {
     case SCCImpl::kChannelStack:
-      return channel_stack_->forward(input, weight_.value, b);
+      out = channel_stack_->forward(input, weight_.value, b);
+      break;
     case SCCImpl::kConvStack:
     case SCCImpl::kConvStackNoCC:
-      return conv_stack_->forward(input, weight_.value, b);
+      out = conv_stack_->forward(input, weight_.value, b);
+      break;
     case SCCImpl::kGemmStack:
-      return scc::scc_forward_gemm(input, weight_.value, b, map_);
+      out = scc::scc_forward_gemm(input, weight_.value, b, map_);
+      break;
     default:
-      return scc::scc_forward(input, weight_.value, b, map_);
+      out = scc::scc_forward(input, weight_.value, b, map_);
+      break;
   }
+  return apply_fused_relu(std::move(out), relu_fused_);
 }
 
 Tensor SCCConv::forward_inference(const Tensor& input, Workspace& ws) {
@@ -246,11 +296,13 @@ Tensor SCCConv::forward_inference(const Tensor& input, Workspace& ws) {
     case SCCImpl::kFusedOutputCentricBwd: {
       Tensor out = ws.alloc_tensor(output_shape(input.shape()));
       tune::scc_forward_dispatch(input, weight_.value, b, map_, ws, out,
-                                 &tuned_);
+                                 &tuned_, relu_fused_);
       return out;
     }
     case SCCImpl::kGemmStack:
-      return scc::scc_forward_gemm_ws(input, weight_.value, b, map_, ws);
+      return apply_fused_relu(
+          scc::scc_forward_gemm_ws(input, weight_.value, b, map_, ws),
+          relu_fused_);
     default:
       // Composition baselines allocate internally; serve them unchanged.
       return forward(input, /*training=*/false);
@@ -258,6 +310,7 @@ Tensor SCCConv::forward_inference(const Tensor& input, Workspace& ws) {
 }
 
 Tensor SCCConv::backward(const Tensor& doutput) {
+  require_unfused(relu_fused_, *this);
   DSX_REQUIRE(cached_input_.defined(), "SCCConv::backward before forward");
   scc::SCCGrads g;
   switch (impl_) {
@@ -303,9 +356,15 @@ std::unique_ptr<Layer> SCCConv::clone() const {
   // compile.
   auto copy = std::unique_ptr<SCCConv>(new SCCConv(cfg_, impl_, CloneInit{}));
   copy->has_bias_ = has_bias_;
+  copy->relu_fused_ = relu_fused_;
   copy->weight_ = clone_param(weight_);
   if (has_bias_) copy->bias_ = clone_param(bias_);
   return copy;
+}
+
+bool SCCConv::fuse_relu() {
+  relu_fused_ = true;
+  return true;
 }
 
 void SCCConv::ensure_bias() {

@@ -39,6 +39,7 @@ class Conv2d final : public Layer {
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
+  bool fuse_relu() override;
 
   // Accessors for inference-time transforms (BN folding).
   int64_t out_channels() const { return out_channels_; }
@@ -58,6 +59,7 @@ class Conv2d final : public Layer {
   int64_t in_channels_ = 0, out_channels_ = 0, kernel_ = 0;
   Conv2dArgs args_;
   bool has_bias_ = false;
+  bool relu_fused_ = false;
   Param weight_, bias_;
   Tensor cached_input_;
   tune::ConvSite tuned_;
@@ -76,6 +78,7 @@ class DepthwiseConv2d final : public Layer {
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override { return "DepthwiseConv2d"; }
   std::unique_ptr<Layer> clone() const override;
+  bool fuse_relu() override;
 
   int64_t out_channels() const { return channels_; }
   Param& weight_param() { return weight_; }
@@ -93,6 +96,7 @@ class DepthwiseConv2d final : public Layer {
   int64_t channels_ = 0, kernel_ = 0;
   DepthwiseArgs args_;
   bool has_bias_ = false;
+  bool relu_fused_ = false;
   Param weight_, bias_;
   Tensor cached_input_;
   tune::DepthwiseSite tuned_;
@@ -128,6 +132,7 @@ class SCCConv final : public Layer {
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
+  bool fuse_relu() override;
 
   int64_t out_channels() const { return cfg_.out_channels; }
   Param& weight_param() { return weight_; }
@@ -149,6 +154,7 @@ class SCCConv final : public Layer {
   scc::ChannelWindowMap map_;
   SCCImpl impl_;
   bool has_bias_;
+  bool relu_fused_ = false;
   Param weight_, bias_;
   Tensor cached_input_;
   std::unique_ptr<scc::ChannelStackSCC> channel_stack_;

@@ -11,7 +11,7 @@ Tensor relu_forward(const Tensor& input) {
   float* o = out.data();
   device::launch_kernel_chunks(
       "relu_fwd", input.numel(), {1.0, 8.0}, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) o[i] = in[i] > 0.0f ? in[i] : 0.0f;
+        for (int64_t i = b; i < e; ++i) o[i] = relu_value(in[i]);
       });
   return out;
 }

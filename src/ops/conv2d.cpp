@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
+#include "ops/activations.hpp"
 #include "ops/gemm.hpp"
 #include "ops/im2col.hpp"
 
@@ -19,15 +20,25 @@ struct ConvDims {
   int64_t groups, cin_g, cout_g;
 };
 
-void add_bias_rows(const Tensor* bias, int64_t N, int64_t Cout, int64_t planeo,
-                   Tensor& out) {
-  if (bias == nullptr) return;
-  device::launch_kernel_chunks(
-      "conv2d_bias", N * Cout, {1.0, 8.0}, [&](int64_t b, int64_t e) {
+/// Epilogue over the GEMM/direct output: adds the bias, then applies the
+/// fused ReLU. One launch item per (n, oc) plane, one model thread per
+/// output element.
+void bias_relu_rows(const Tensor* bias, bool relu, int64_t N, int64_t Cout,
+                    int64_t planeo, Tensor& out) {
+  if (bias == nullptr && !relu) return;
+  const double flops = (bias != nullptr ? 1.0 : 0.0) + (relu ? 1.0 : 0.0);
+  device::launch_kernel_chunks_modeled(
+      "conv2d_bias", N * Cout, N * Cout * planeo, {flops, 8.0},
+      [&](int64_t b, int64_t e) {
         for (int64_t i = b; i < e; ++i) {
-          const float bv = bias->data()[i % Cout];
           float* p = out.data() + i * planeo;
-          for (int64_t j = 0; j < planeo; ++j) p[j] += bv;
+          if (bias != nullptr) {
+            const float bv = bias->data()[i % Cout];
+            for (int64_t j = 0; j < planeo; ++j) p[j] += bv;
+          }
+          if (relu) {
+            for (int64_t j = 0; j < planeo; ++j) p[j] = relu_value(p[j]);
+          }
         }
       });
 }
@@ -94,7 +105,7 @@ int64_t conv2d_workspace_floats(const Shape& input, const Shape& weight,
 
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor* bias, const Conv2dArgs& args,
-                         Workspace& ws, Tensor& out) {
+                         Workspace& ws, Tensor& out, bool fuse_relu) {
   const ConvDims d = resolve_dims(input.shape(), weight.shape(), args);
   if (bias != nullptr) {
     DSX_REQUIRE(bias->shape() == Shape{d.Cout},
@@ -129,12 +140,12 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
     }
   }
 
-  add_bias_rows(bias, d.N, d.Cout, planeo, out);
+  bias_relu_rows(bias, fuse_relu, d.N, d.Cout, planeo, out);
 }
 
 void conv2d_forward_direct_into(const Tensor& input, const Tensor& weight,
                                 const Tensor* bias, const Conv2dArgs& args,
-                                Tensor& out) {
+                                Tensor& out, bool fuse_relu) {
   const ConvDims d = resolve_dims(input.shape(), weight.shape(), args);
   if (bias != nullptr) {
     DSX_REQUIRE(bias->shape() == Shape{d.Cout},
@@ -199,7 +210,7 @@ void conv2d_forward_direct_into(const Tensor& input, const Tensor& weight,
         }
       });
 
-  add_bias_rows(bias, d.N, d.Cout, planeo, out);
+  bias_relu_rows(bias, fuse_relu, d.N, d.Cout, planeo, out);
 }
 
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,

@@ -36,9 +36,11 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 /// (hot serving paths reuse one arena across calls instead of allocating),
 /// and the output is written into `out`, which must already have the shape
 /// conv2d_output_shape returns. Bit-identical to conv2d_forward.
+/// `fuse_relu` applies relu_value in the bias pass (which then runs even
+/// without a bias), bit-identical to relu_forward of the unfused output.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor* bias, const Conv2dArgs& args,
-                         Workspace& ws, Tensor& out);
+                         Workspace& ws, Tensor& out, bool fuse_relu = false);
 
 /// Floats of scratch conv2d_forward_into draws from the workspace for this
 /// problem (arena pre-sizing).
@@ -52,7 +54,7 @@ int64_t conv2d_workspace_floats(const Shape& input, const Shape& weight,
 /// dsx::tune registers both and measures which wins per shape.
 void conv2d_forward_direct_into(const Tensor& input, const Tensor& weight,
                                 const Tensor* bias, const Conv2dArgs& args,
-                                Tensor& out);
+                                Tensor& out, bool fuse_relu = false);
 
 struct Conv2dGrads {
   Tensor dinput;   // defined only when requested

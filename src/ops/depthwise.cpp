@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
+#include "ops/activations.hpp"
 
 namespace dsx {
 
@@ -49,7 +50,7 @@ Tensor depthwise_forward(const Tensor& input, const Tensor& weight,
 
 void depthwise_forward_into(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const DepthwiseArgs& args,
-                            Tensor& out) {
+                            Tensor& out, bool fuse_relu) {
   const DwDims d = resolve(input.shape(), weight.shape(), args);
   if (bias != nullptr) {
     DSX_REQUIRE(bias->shape() == Shape{d.C}, "depthwise: bad bias shape");
@@ -81,7 +82,7 @@ void depthwise_forward_into(const Tensor& input, const Tensor& weight,
                   acc += w[ky * d.K + kx] * in_p[iy * d.W + ix];
                 }
               }
-              out_p[y * d.Wo + x] = acc;
+              out_p[y * d.Wo + x] = fuse_relu ? relu_value(acc) : acc;
             }
           }
         }

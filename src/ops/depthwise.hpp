@@ -28,9 +28,10 @@ Tensor depthwise_forward(const Tensor& input, const Tensor& weight,
 
 /// Forward into a preallocated `out` of shape depthwise_output_shape(...);
 /// lets the serving runtime keep activations in a workspace arena.
+/// `fuse_relu` applies relu_value in the final store.
 void depthwise_forward_into(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const DepthwiseArgs& args,
-                            Tensor& out);
+                            Tensor& out, bool fuse_relu = false);
 
 struct DepthwiseGrads {
   Tensor dinput;

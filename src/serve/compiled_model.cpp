@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "nn/bn_folding.hpp"
+#include "nn/layers_basic.hpp"
 #include "nn/layers_conv.hpp"
 #include "tensor/random.hpp"
 
@@ -31,6 +32,16 @@ CompiledModel::CompiledModel(std::unique_ptr<nn::Sequential> model,
     if (dynamic_cast<nn::Identity*>(&model_->layer(i)) != nullptr) {
       model_->erase_layer(i);
       ++report_.identities_stripped;
+    }
+  }
+
+  // Fold each top-level ReLU into the layer right before it when that layer
+  // has an epilogue to take it; the ReLU step disappears from the plan.
+  for (size_t i = model_->size(); i-- > 1;) {
+    if (dynamic_cast<nn::ReLU*>(&model_->layer(i)) != nullptr &&
+        model_->layer(i - 1).fuse_relu()) {
+      model_->erase_layer(i);
+      ++report_.relu_fused;
     }
   }
 

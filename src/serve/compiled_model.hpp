@@ -5,6 +5,9 @@
 // training-oriented layers would otherwise redo on every request:
 //   * folds BatchNorm into the preceding convolutions (nn/bn_folding) and
 //     strips the Identity placeholders the fold leaves behind;
+//   * folds every top-level ReLU that directly follows a Conv2d,
+//     DepthwiseConv2d or SCCConv into that layer's final store
+//     (Layer::fuse_relu), so the ReLU costs no launch and no output tensor;
 //   * freezes every SCCConv to the fused DSXplore kernels (the composition
 //     baselines exist for benchmarking, not serving) - their channel-window
 //     maps are already precomputed at layer construction;
@@ -76,6 +79,7 @@ struct TunedLayerChoice {
 struct CompileReport {
   int64_t bn_folded = 0;          // conv->BN pairs folded away
   int64_t identities_stripped = 0;  // placeholder layers removed
+  int64_t relu_fused = 0;         // ReLU layers folded into the layer before
   int64_t scc_frozen = 0;         // SCC layers switched to the fused impl
   int64_t steps = 0;              // top-level layers in the frozen plan
   int64_t param_floats = 0;       // trainable parameter count

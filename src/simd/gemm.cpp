@@ -101,7 +101,8 @@ int64_t conv2d_workspace_floats(const Shape& input, const Shape& weight,
 
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor* bias, const Conv2dArgs& args,
-                         Workspace& ws, Tensor& out, Isa isa) {
+                         Workspace& ws, Tensor& out, bool fuse_relu,
+                         Isa isa) {
   const Shape expect = conv2d_output_shape(input.shape(), weight.shape(), args);
   DSX_REQUIRE(out.shape() == expect,
               "simd::conv2d: out shape " << out.shape().to_string()
@@ -140,7 +141,7 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
           lowered + g * rows_g * planeo, planeo, 0.0f,
           out_n + g * cout_g * planeo, planeo,
           bias != nullptr ? bias->data() + g * cout_g : nullptr,
-          /*relu=*/false, pack_a, pack_b, isa);
+          fuse_relu, pack_a, pack_b, isa);
     }
   }
 }

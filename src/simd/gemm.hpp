@@ -52,10 +52,12 @@ void gemm_bias_relu_ws(bool trans_a, bool trans_b, int64_t M, int64_t N,
 /// conv2d forward on the im2col + packed-GEMM route with the bias folded
 /// into the GEMM epilogue. Same shape contract as conv2d_forward_into;
 /// ULP-bounded relative to it (registered as a tune candidate under
-/// fast-math). Scratch (columns + pack panels) comes from `ws`.
+/// fast-math). Scratch (columns + pack panels) comes from `ws`. `fuse_relu`
+/// applies the ReLU in the same epilogue.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor* bias, const Conv2dArgs& args,
-                         Workspace& ws, Tensor& out, Isa isa = active_isa());
+                         Workspace& ws, Tensor& out, bool fuse_relu = false,
+                         Isa isa = active_isa());
 
 /// Floats of scratch simd::conv2d_forward_into draws from the workspace.
 int64_t conv2d_workspace_floats(const Shape& input, const Shape& weight,

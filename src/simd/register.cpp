@@ -42,7 +42,7 @@ void register_simd_kernels(tune::KernelRegistry& registry) {
                                             : tune::Fidelity::kUlpBounded;
           cand.run = [isa](const tune::SCCProblem& p) {
             scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out,
-                             /*fuse_relu=*/false, isa);
+                             p.fuse_relu, isa);
           };
           out.push_back(std::move(cand));
         }
@@ -66,7 +66,7 @@ void register_simd_kernels(tune::KernelRegistry& registry) {
           cand.scratch_floats = scratch;
           cand.run = [isa](const tune::ConvProblem& p) {
             conv2d_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.ws,
-                                *p.out, isa);
+                                *p.out, p.fuse_relu, isa);
           };
           out.push_back(std::move(cand));
         }
@@ -84,7 +84,7 @@ void register_simd_kernels(tune::KernelRegistry& registry) {
                                             : tune::Fidelity::kUlpBounded;
           cand.run = [isa](const tune::DepthwiseProblem& p) {
             depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args,
-                                   *p.out, /*fuse_relu=*/false, isa);
+                                   *p.out, p.fuse_relu, isa);
           };
           out.push_back(std::move(cand));
         }

@@ -121,13 +121,14 @@ void dispatch_impl(const Problem& problem, Site* site, MakeKey&& make_key,
 
 void scc_forward_dispatch(const Tensor& input, const Tensor& weight,
                           const Tensor* bias, const scc::ChannelWindowMap& map,
-                          Workspace& ws, Tensor& out, SccSite* site) {
-  const SCCProblem problem{&input, &weight, bias, &map, &ws, &out};
+                          Workspace& ws, Tensor& out, SccSite* site,
+                          bool fuse_relu) {
+  const SCCProblem problem{&input, &weight, bias, &map, &ws, &out, fuse_relu};
   const KernelRegistry& registry = KernelRegistry::global();
   dispatch_impl(
       problem, site,
       [&] { return make_scc_forward_key(input.shape(), map); },
-      [&] { scc::scc_forward_into(input, weight, bias, map, out); },
+      [&] { scc::scc_forward_into(input, weight, bias, map, out, fuse_relu); },
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_scc(key, input, weight, bias, map);
       },
@@ -140,13 +141,16 @@ void scc_forward_dispatch(const Tensor& input, const Tensor& weight,
 
 void conv2d_forward_dispatch(const Tensor& input, const Tensor& weight,
                              const Tensor* bias, const Conv2dArgs& args,
-                             Workspace& ws, Tensor& out, ConvSite* site) {
-  const ConvProblem problem{&input, &weight, bias, &args, &ws, &out};
+                             Workspace& ws, Tensor& out, ConvSite* site,
+                             bool fuse_relu) {
+  const ConvProblem problem{&input, &weight, bias, &args, &ws, &out, fuse_relu};
   const KernelRegistry& registry = KernelRegistry::global();
   dispatch_impl(
       problem, site,
       [&] { return make_conv2d_forward_key(input.shape(), weight.shape(), args); },
-      [&] { conv2d_forward_into(input, weight, bias, args, ws, out); },
+      [&] {
+        conv2d_forward_into(input, weight, bias, args, ws, out, fuse_relu);
+      },
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_conv2d(key, input, weight, bias, args);
       },
@@ -162,15 +166,18 @@ void conv2d_forward_dispatch(const Tensor& input, const Tensor& weight,
 void depthwise_forward_dispatch(const Tensor& input, const Tensor& weight,
                                 const Tensor* bias, const DepthwiseArgs& args,
                                 Workspace& ws, Tensor& out,
-                                DepthwiseSite* site) {
-  const DepthwiseProblem problem{&input, &weight, bias, &args, &ws, &out};
+                                DepthwiseSite* site, bool fuse_relu) {
+  const DepthwiseProblem problem{&input, &weight, bias, &args,
+                                 &ws, &out, fuse_relu};
   const KernelRegistry& registry = KernelRegistry::global();
   dispatch_impl(
       problem, site,
       [&] {
         return make_depthwise_forward_key(input.shape(), weight.shape(), args);
       },
-      [&] { depthwise_forward_into(input, weight, bias, args, out); },
+      [&] {
+        depthwise_forward_into(input, weight, bias, args, out, fuse_relu);
+      },
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_depthwise(key, input, weight, bias, args);
       },

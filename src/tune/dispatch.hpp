@@ -57,20 +57,23 @@ struct DepthwiseSite {
 
 /// Executes the best-known SCC forward implementation for this problem.
 /// `out` must already have scc_output_shape; scratch comes from `ws`.
+/// `fuse_relu` applies the ReLU epilogue in whichever kernel runs.
 void scc_forward_dispatch(const Tensor& input, const Tensor& weight,
                           const Tensor* bias, const scc::ChannelWindowMap& map,
-                          Workspace& ws, Tensor& out, SccSite* site = nullptr);
+                          Workspace& ws, Tensor& out, SccSite* site = nullptr,
+                          bool fuse_relu = false);
 
 /// Executes the best-known conv2d forward implementation for this problem.
 void conv2d_forward_dispatch(const Tensor& input, const Tensor& weight,
                              const Tensor* bias, const Conv2dArgs& args,
                              Workspace& ws, Tensor& out,
-                             ConvSite* site = nullptr);
+                             ConvSite* site = nullptr, bool fuse_relu = false);
 
 /// Executes the best-known depthwise forward implementation.
 void depthwise_forward_dispatch(const Tensor& input, const Tensor& weight,
                                 const Tensor* bias, const DepthwiseArgs& args,
                                 Workspace& ws, Tensor& out,
-                                DepthwiseSite* site = nullptr);
+                                DepthwiseSite* site = nullptr,
+                                bool fuse_relu = false);
 
 }  // namespace dsx::tune

@@ -74,7 +74,8 @@ KernelRegistry::KernelRegistry() {
       fused.grain = grain;
       fused.run = [grain](const SCCProblem& p) {
         device::GrainOverride scope(grain);
-        scc::scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out);
+        scc::scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out,
+                              p.fuse_relu);
       };
       out.push_back(std::move(fused));
     }
@@ -82,7 +83,7 @@ KernelRegistry::KernelRegistry() {
     nocc.variant = "fused_nocc";
     nocc.run = [](const SCCProblem& p) {
       scc::scc_forward_no_cycle_table_into(*p.input, *p.weight, p.bias, *p.map,
-                                           *p.out);
+                                           *p.out, p.fuse_relu);
     };
     out.push_back(std::move(nocc));
 
@@ -95,7 +96,7 @@ KernelRegistry::KernelRegistry() {
                           Workspace::aligned_size(rows);
     gemm.run = [](const SCCProblem& p) {
       scc::scc_forward_gemm_into(*p.input, *p.weight, p.bias, *p.map, *p.ws,
-                                 *p.out);
+                                 *p.out, p.fuse_relu);
     };
     out.push_back(std::move(gemm));
   });
@@ -116,7 +117,7 @@ KernelRegistry::KernelRegistry() {
       lowered.run = [grain](const ConvProblem& p) {
         device::GrainOverride scope(grain);
         conv2d_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.ws,
-                            *p.out);
+                            *p.out, p.fuse_relu);
       };
       out.push_back(std::move(lowered));
     }
@@ -127,7 +128,7 @@ KernelRegistry::KernelRegistry() {
       direct.run = [grain](const ConvProblem& p) {
         device::GrainOverride scope(grain);
         conv2d_forward_direct_into(*p.input, *p.weight, p.bias, *p.args,
-                                   *p.out);
+                                   *p.out, p.fuse_relu);
       };
       out.push_back(std::move(direct));
     }
@@ -142,7 +143,8 @@ KernelRegistry::KernelRegistry() {
       direct.grain = grain;
       direct.run = [grain](const DepthwiseProblem& p) {
         device::GrainOverride scope(grain);
-        depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.out);
+        depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.out,
+                               p.fuse_relu);
       };
       out.push_back(std::move(direct));
     }

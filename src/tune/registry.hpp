@@ -17,6 +17,10 @@
 // vectorized candidate per ISA level the host offers ("simd_sse2",
 // "simd_avx2") into every family through the factory hooks below.
 //
+// Every candidate honours the problem's `fuse_relu` epilogue, which is
+// bit-identical to running relu_forward on its unfused output, so one
+// tuning record serves a layer with or without a fused ReLU.
+//
 // Candidate admission is fidelity-gated (tune::Fidelity): enumeration drops
 // kUlpBounded candidates unless the caller opts into fast-math, so with the
 // default (off) the historical bit-identity contract is exactly preserved -
@@ -50,6 +54,7 @@ struct SCCProblem {
   const scc::ChannelWindowMap* map = nullptr;
   Workspace* ws = nullptr;
   Tensor* out = nullptr;
+  bool fuse_relu = false;  // apply relu_value in the final store
 };
 
 /// One conv2d forward problem instance.
@@ -60,6 +65,7 @@ struct ConvProblem {
   const Conv2dArgs* args = nullptr;
   Workspace* ws = nullptr;
   Tensor* out = nullptr;
+  bool fuse_relu = false;  // apply relu_value in the final store
 };
 
 /// One depthwise forward problem instance.
@@ -70,6 +76,7 @@ struct DepthwiseProblem {
   const DepthwiseArgs* args = nullptr;
   Workspace* ws = nullptr;
   Tensor* out = nullptr;
+  bool fuse_relu = false;  // apply relu_value in the final store
 };
 
 /// Grain axis value meaning "leave device::kDefaultGrain alone".

@@ -4,7 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -296,6 +300,126 @@ TEST(KernelLog, CapturesAtomicsPerLaunch) {
   EXPECT_EQ(records[1].atomic_adds, 0);
 }
 
+// ---- launch scheduling -----------------------------------------------------------
+
+/// Holds `pool`'s turn from a helper thread, which sits inside a one-chunk
+/// run_chunks until release(): anything that needs a turn waits until then.
+class TurnHolder {
+ public:
+  explicit TurnHolder(ThreadPool& pool)
+      : helper_([this, &pool] {
+          pool.run_chunks(1, [this](int64_t, int64_t) {
+            std::unique_lock<std::mutex> lock(mu_);
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return released_; });
+          });
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  ~TurnHolder() {
+    release();
+    helper_.join();
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+  std::thread helper_;  // declared last: starts after the state above
+};
+
+/// Records which threads ran a launch's chunks and how many chunks ran.
+struct ChunkLog {
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  int chunks = 0;
+  std::function<void(int64_t, int64_t)> body() {
+    return [this](int64_t, int64_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+      ++chunks;
+    };
+  }
+};
+
+// Declared work of 64 model threads x `flops` each, relative to the inline
+// threshold.
+constexpr double kSmallFlops = kInlineWork / 64.0 / 4.0;
+constexpr double kLargeFlops = kInlineWork / 64.0 * 2.0;
+
+TEST(Launch, BelowThresholdRunsInlineWithoutPoolTurn) {
+  ThreadPool pool(4);
+  TurnHolder turn(pool);
+  ChunkLog log;
+  // The launch runs on another thread so a launch that wrongly waits for
+  // the held turn fails the test instead of hanging it.
+  auto launched = std::async(std::launch::async, [&] {
+    PoolScope scope(pool);
+    launch_kernel_chunks_modeled("small", 64, 64, {kSmallFlops, 4.0},
+                                 log.body());
+    return std::this_thread::get_id();
+  });
+  const bool finished = launched.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  turn.release();
+  ASSERT_TRUE(finished) << "a launch below the threshold waited for a turn";
+  const std::thread::id caller = launched.get();
+  EXPECT_EQ(log.chunks, 1);
+  EXPECT_EQ(log.threads, std::set<std::thread::id>{caller});
+}
+
+TEST(Launch, AboveThresholdFansOut) {
+  ThreadPool pool(4);
+  PoolScope scope(pool);
+  ChunkLog log;
+  launch_kernel_chunks_modeled("large", 64, 64, {kLargeFlops, 4.0},
+                               log.body());
+  EXPECT_EQ(log.chunks, 4);
+  EXPECT_EQ(log.threads.size(), 4u);
+}
+
+TEST(Launch, BytesCountWhenTheyOutweighFlops) {
+  // A streaming kernel (one flop, many bytes per thread) is priced by the
+  // floats it moves: bytes/4 above the threshold fans out.
+  ThreadPool pool(4);
+  PoolScope scope(pool);
+  ChunkLog log;
+  launch_kernel_chunks_modeled("stream", 64, 64, {1.0, 4.0 * kLargeFlops},
+                               log.body());
+  EXPECT_EQ(log.chunks, 4);
+}
+
+TEST(Launch, GrainOverrideForcesEitherPath) {
+  ThreadPool pool(4);
+  PoolScope scope(pool);
+  {
+    GrainOverride always_parallel(1);
+    ChunkLog log;
+    launch_kernel_chunks_modeled("small", 64, 64, {kSmallFlops, 4.0},
+                                 log.body());
+    EXPECT_EQ(log.chunks, 4);
+  }
+  {
+    GrainOverride serial(kSerialGrain);
+    ChunkLog log;
+    launch_kernel_chunks_modeled("large", 64, 64, {kLargeFlops, 4.0},
+                                 log.body());
+    EXPECT_EQ(log.chunks, 1);
+    EXPECT_EQ(log.threads,
+              std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+}
+
 // ---- DeviceGroup ---------------------------------------------------------------
 
 TEST(DeviceGroup, AllReduceMeanAveragesReplicas) {
@@ -509,6 +633,37 @@ TEST(PoolAccounting, IdlePoolAccumulatesIdleNotBusy) {
   pool.run_chunks(1, [](int64_t, int64_t) {});
   EXPECT_GT(pool.idle_ns(), 30'000'000);  // most of the 50ms park
   EXPECT_LT(pool.busy_ns(), 20'000'000);  // two trivial chunks only
+}
+
+TEST(PoolAccounting, InlineLaunchCountsAsBusyOnce) {
+  AccountingScope acct;
+  ThreadPool pool(4, "acct-inline");
+  PoolScope scope(pool);
+  int64_t spun_ns = 0;
+  const auto spin = [&](int64_t, int64_t) {
+    const auto t0 = std::chrono::steady_clock::now();
+    volatile double x = 1.0;
+    while (std::chrono::steady_clock::now() - t0 <
+           std::chrono::milliseconds(20)) {
+      for (int i = 0; i < 1000; ++i) x = x * 1.0000001;
+    }
+    spun_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  };
+  // One model thread declaring one flop: far below the threshold.
+  launch_kernel_chunks("inline_spin", 1, {1.0, 4.0}, spin);
+  EXPECT_GE(pool.busy_ns(), spun_ns);
+
+  // Inside a chunk the chunk's own timer already covers the launch; adding
+  // it again would double the busy time.
+  const int64_t before = pool.busy_ns();
+  pool.run_chunks(1, [&](int64_t, int64_t) {
+    launch_kernel_chunks("nested_spin", 1, {1.0, 4.0}, spin);
+  });
+  const int64_t added = pool.busy_ns() - before;
+  EXPECT_GE(added, spun_ns);
+  EXPECT_LT(added, spun_ns + spun_ns / 2);
 }
 
 TEST(PoolAccounting, CountersMonotoneUnderHammer) {

@@ -20,6 +20,7 @@
 #include "nn/layers_conv.hpp"
 #include "nn/sgd.hpp"
 #include "nn/trainer.hpp"
+#include "ops/activations.hpp"
 #include "ops/conv2d.hpp"
 #include "quant/quant_layers.hpp"
 #include "serve/batcher.hpp"
@@ -170,8 +171,85 @@ TEST(CompiledModel, ReportsExpectedBnFoldCount) {
   EXPECT_GT(compiled.report().param_floats, 0);
   EXPECT_GT(compiled.report().workspace_floats, 0);
   // 12 layers - 3 stripped identities (the fold replaces BN in place; the
-  // compile pass then removes the placeholders).
-  EXPECT_EQ(compiled.report().steps, 9);
+  // compile pass then removes the placeholders) - 3 ReLUs fused into the
+  // conv, depthwise and SCC layers before them.
+  EXPECT_EQ(compiled.report().steps, 6);
+}
+
+// ---- ReLU fusion -----------------------------------------------------------
+
+TEST(CompiledModel, FusesEveryReluThatFollowsAConvLayer) {
+  CompiledModel compiled(make_scc_model(23), Shape{3, kImage, kImage},
+                         {.max_batch = 2});
+  EXPECT_EQ(compiled.report().relu_fused, 3);
+  for (size_t i = 0; i < compiled.model().size(); ++i) {
+    EXPECT_EQ(dynamic_cast<nn::ReLU*>(&compiled.model().layer(i)), nullptr)
+        << "step " << i;
+  }
+}
+
+TEST(CompiledModel, FusedPlanBitIdenticalToFoldedUnfusedModel) {
+  auto model = make_scc_model(61);
+  warm_up(*model, 62);
+  auto unfused = model->clone_sequential();
+  nn::fold_batchnorm(*unfused);
+  CompiledModel compiled(std::move(model), Shape{3, kImage, kImage},
+                         {.max_batch = 4});
+  ASSERT_EQ(compiled.report().relu_fused, 3);
+  Rng rng(63);
+  const Tensor batch =
+      random_uniform(compiled.input_shape(4), rng, -2.0f, 3.0f);
+  EXPECT_TRUE(bit_identical(compiled.run(batch),
+                            unfused->forward(batch, /*training=*/false)));
+}
+
+/// One of each layer kind that can take a fused ReLU, over 4 channels.
+std::vector<nn::LayerPtr> fusable_layers(Rng& rng) {
+  std::vector<nn::LayerPtr> layers;
+  layers.push_back(std::make_unique<nn::Conv2d>(4, 6, 3, 1, 1, 1, rng, true));
+  layers.push_back(
+      std::make_unique<nn::DepthwiseConv2d>(4, 3, 1, 1, rng, true));
+  layers.push_back(std::make_unique<nn::SCCConv>(
+      scc::SCCConfig{.in_channels = 4, .out_channels = 8, .groups = 2,
+                     .overlap = 0.5, .stride = 1},
+      rng, /*bias=*/true));
+  return layers;
+}
+
+TEST(FusedRelu, EvalForwardAppliesTheRelu) {
+  Rng rng(71);
+  const Tensor x = random_uniform(make_nchw(2, 4, 5, 5), rng, -1.0f, 1.0f);
+  for (nn::LayerPtr& layer : fusable_layers(rng)) {
+    SCOPED_TRACE(layer->name());
+    const Tensor expect = relu_forward(layer->forward(x, /*training=*/false));
+    ASSERT_TRUE(layer->fuse_relu());
+    EXPECT_TRUE(bit_identical(layer->forward(x, /*training=*/false), expect));
+    Workspace ws;
+    EXPECT_TRUE(bit_identical(layer->forward_inference(x, ws), expect));
+    // clone() carries the fused flag.
+    EXPECT_TRUE(
+        bit_identical(layer->clone()->forward(x, /*training=*/false), expect));
+  }
+}
+
+TEST(FusedRelu, TrainingForwardAndBackwardThrow) {
+  Rng rng(73);
+  const Tensor x = random_uniform(make_nchw(2, 4, 5, 5), rng, -1.0f, 1.0f);
+  for (nn::LayerPtr& layer : fusable_layers(rng)) {
+    SCOPED_TRACE(layer->name());
+    // Cache an input while unfused, so backward has something to misuse.
+    const Tensor y = layer->forward(x, /*training=*/true);
+    ASSERT_TRUE(layer->fuse_relu());
+    EXPECT_THROW(layer->forward(x, /*training=*/true), Error);
+    EXPECT_THROW(layer->backward(y), Error);
+  }
+}
+
+TEST(FusedRelu, LayersWithoutAnEpilogueDecline) {
+  nn::ReLU relu;
+  nn::GlobalAvgPool pool;
+  EXPECT_FALSE(relu.fuse_relu());
+  EXPECT_FALSE(pool.fuse_relu());
 }
 
 TEST(CompiledModel, FreezesCompositionSCCImplsToFused) {

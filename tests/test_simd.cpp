@@ -17,12 +17,17 @@
 //     report per-layer fidelity when it is on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "core/scc_gemm.hpp"
 #include "core/scc_kernels.hpp"
 #include "nn/layers_basic.hpp"
 #include "nn/layers_conv.hpp"
+#include "ops/activations.hpp"
+#include "ops/conv2d.hpp"
 #include "ops/depthwise.hpp"
 #include "ops/gemm.hpp"
 #include "serve/compiled_model.hpp"
@@ -251,7 +256,8 @@ TEST(SimdConv, MatchesConvWithinUlpIncludingGroupsAndTails) {
                    << " s=" << c.stride);
       Workspace ws;
       Tensor out(conv2d_output_shape(in.shape(), w.shape(), args));
-      simd::conv2d_forward_into(in, w, bp, args, ws, out, isa);
+      simd::conv2d_forward_into(in, w, bp, args, ws, out, /*fuse_relu=*/false,
+                                isa);
       testing::expect_allclose_ulp(out, expect, simd::kMaxUlp);
       EXPECT_LE(ws.used_floats(),
                 simd::conv2d_workspace_floats(in.shape(), w.shape(), args));
@@ -373,6 +379,147 @@ TEST(SimdDepthwise, FusedReluEpilogue) {
     simd::depthwise_forward_into(in, w, nullptr, args, out,
                                  /*fuse_relu=*/true, isa);
     EXPECT_TRUE(bit_identical(expect, out)) << simd::isa_name(isa);
+  }
+}
+
+// ---- fused ReLU epilogue: -0.0 and NaN -------------------------------------
+//
+// Every fused epilogue must equal running the same kernel unfused and then
+// relu_forward, byte for byte: -0.0 and NaN become +0.0. The inputs are all
+// +0.0 except one NaN per image, the weights negative and the bias -0.0, so
+// the unfused outputs hold -0.0 (bias + negative * +0.0) and NaN.
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+Tensor zeros_with_nan(const Shape& shape) {
+  Tensor t(shape);
+  const int64_t per_image = t.numel() / shape.n();
+  for (int64_t n = 0; n < shape.n(); ++n) t.data()[n * per_image] = kNaN;
+  return t;
+}
+
+Tensor negative_zeros(const Shape& shape) { return Tensor(shape, -0.0f); }
+
+bool holds_nan(const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (std::isnan(t[i])) return true;
+  }
+  return false;
+}
+
+bool holds_negative_zero(const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (t[i] == 0.0f && std::signbit(t[i])) return true;
+  }
+  return false;
+}
+
+/// Runs `kernel(out, fuse_relu)` both ways and compares fused output with
+/// relu_forward of the unfused one. `want_negative_zero` asserts the case
+/// really produced a -0.0 to clamp (every case produces a NaN).
+template <typename Kernel>
+void expect_fused_matches_relu_forward(const Shape& out_shape,
+                                       bool want_negative_zero,
+                                       Kernel&& kernel) {
+  Tensor unfused(out_shape);
+  kernel(unfused, false);
+  ASSERT_TRUE(holds_nan(unfused));
+  if (want_negative_zero) ASSERT_TRUE(holds_negative_zero(unfused));
+  Tensor fused(out_shape);
+  kernel(fused, true);
+  EXPECT_TRUE(bit_identical(fused, relu_forward(unfused)));
+}
+
+TEST(SimdEpilogue, FusedReluMatchesReluForwardOnNegativeZeroAndNaN) {
+  Rng rng(97);
+  for (const int64_t stride : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "stride=" << stride);
+    const scc::SCCConfig cfg{8, 12, 2, 0.5, stride};
+    const scc::ChannelWindowMap map(cfg);
+    const Tensor scc_in = zeros_with_nan(make_nchw(2, 8, 6, 6));
+    const Tensor scc_w =
+        random_uniform(Shape{12, map.group_width()}, rng, -1.0f, -0.5f);
+    const Tensor scc_b = negative_zeros(Shape{12});
+    const Shape scc_out = scc::scc_output_shape(scc_in.shape(), map);
+
+    const DepthwiseArgs dw_args{stride, 1};
+    const Tensor dw_in = zeros_with_nan(make_nchw(2, 5, 7, 7));
+    const Tensor dw_w = random_uniform(Shape{5, 1, 3, 3}, rng, -1.0f, -0.5f);
+    const Tensor dw_b = negative_zeros(Shape{5});
+    const Shape dw_out =
+        depthwise_output_shape(dw_in.shape(), dw_w.shape(), dw_args);
+
+    const Conv2dArgs conv_args{stride, 1, 1};
+    const Tensor conv_in = zeros_with_nan(make_nchw(2, 3, 6, 6));
+    const Tensor conv_w =
+        random_uniform(Shape{4, 3, 3, 3}, rng, -1.0f, -0.5f);
+    const Tensor conv_b = negative_zeros(Shape{4});
+    const Shape conv_out =
+        conv2d_output_shape(conv_in.shape(), conv_w.shape(), conv_args);
+
+    // Scalar library defaults (the kernels a kOff plan runs).
+    expect_fused_matches_relu_forward(scc_out, true, [&](Tensor& o, bool r) {
+      scc::scc_forward_into(scc_in, scc_w, &scc_b, map, o, r);
+    });
+    expect_fused_matches_relu_forward(scc_out, true, [&](Tensor& o, bool r) {
+      scc::scc_forward_no_cycle_table_into(scc_in, scc_w, &scc_b, map, o, r);
+    });
+    expect_fused_matches_relu_forward(scc_out, false, [&](Tensor& o, bool r) {
+      Workspace ws;
+      scc::scc_forward_gemm_into(scc_in, scc_w, &scc_b, map, ws, o, r);
+    });
+    expect_fused_matches_relu_forward(dw_out, true, [&](Tensor& o, bool r) {
+      depthwise_forward_into(dw_in, dw_w, &dw_b, dw_args, o, r);
+    });
+    expect_fused_matches_relu_forward(conv_out, false, [&](Tensor& o, bool r) {
+      Workspace ws;
+      conv2d_forward_into(conv_in, conv_w, &conv_b, conv_args, ws, o, r);
+    });
+    expect_fused_matches_relu_forward(conv_out, false, [&](Tensor& o, bool r) {
+      conv2d_forward_direct_into(conv_in, conv_w, &conv_b, conv_args, o, r);
+    });
+
+    // Vectorized kernels, each level against its own unfused output (the
+    // epilogue is the only difference, so this holds at every level).
+    for (const simd::Isa isa : host_levels()) {
+      SCOPED_TRACE(simd::isa_name(isa));
+      expect_fused_matches_relu_forward(scc_out, true, [&](Tensor& o, bool r) {
+        simd::scc_forward_into(scc_in, scc_w, &scc_b, map, o, r, isa);
+      });
+      expect_fused_matches_relu_forward(dw_out, true, [&](Tensor& o, bool r) {
+        simd::depthwise_forward_into(dw_in, dw_w, &dw_b, dw_args, o, r, isa);
+      });
+    }
+  }
+}
+
+TEST(SimdEpilogue, DegenerateGemmReluMatchesReluForward) {
+  // K == 0 and alpha == 0 skip the micro-kernel: C = beta*C + bias, then
+  // the epilogue. beta = 1 over a C of -0.0 and NaN, with a -0.0 bias.
+  const int64_t M = 3, N = 9;
+  const Tensor a(Shape{M, 2}, 1.0f);
+  const Tensor b(Shape{2, N}, 1.0f);
+  const std::vector<float> bias(static_cast<size_t>(M), -0.0f);
+  Tensor c0(Shape{M, N}, -0.0f);
+  c0.data()[4] = kNaN;
+  for (const simd::Isa isa : host_levels()) {
+    for (const int64_t K : {0, 2}) {
+      const float alpha = K == 0 ? 1.0f : 0.0f;
+      SCOPED_TRACE(::testing::Message()
+                   << simd::isa_name(isa) << " K=" << K << " alpha=" << alpha);
+      Workspace ws;
+      Tensor unfused = c0.clone();
+      simd::gemm_bias_relu_ws(false, false, M, N, K, alpha, a.data(), 2,
+                              b.data(), N, 1.0f, unfused.data(), N,
+                              bias.data(), /*relu=*/false, ws, isa);
+      ASSERT_TRUE(holds_nan(unfused));
+      ASSERT_TRUE(holds_negative_zero(unfused));
+      Tensor fused = c0.clone();
+      simd::gemm_bias_relu_ws(false, false, M, N, K, alpha, a.data(), 2,
+                              b.data(), N, 1.0f, fused.data(), N, bias.data(),
+                              /*relu=*/true, ws, isa);
+      EXPECT_TRUE(bit_identical(fused, relu_forward(unfused)));
+    }
   }
 }
 
