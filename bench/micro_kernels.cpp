@@ -345,6 +345,11 @@ int run() {
       // Single-image geometry: 128 planes of heavy 32x32 work stays serial
       // under the default heuristic (a win to find on true multi-core).
       {"b1_c64_s32_cout128", 1, 64, 128, 32, 4, 0.5},
+      // The two SCC shapes that dominate a b8 run of the x1.0 32x32
+      // MobileNet-SCC (cg 4, co 50%): 512->512 at 4x4 (gw 128, five
+      // layers) and 1024->1024 at 2x2 (gw 256).
+      {"b8_c512_s4_cout512", 8, 512, 512, 4, 4, 0.5},
+      {"b8_c1024_s2_cout1024", 8, 1024, 1024, 2, 4, 0.5},
   };
   Rng rng(21);
   for (const SccShape& s : scc_shapes) {

@@ -3,6 +3,14 @@
 // Forward: output-centric - one GPU-model thread per output pixel; each
 // thread does a gw-tap dot product between the filter weights and the pixels
 // of the filter's (cyclic) channel window. No data duplication, no atomics.
+// That is what the launch records (threads = out.numel(), costs {2gw,
+// 4(gw+2)}) for gpusim and the per-kernel metrics. The CPU executes it as a
+// register tile instead (the SSE2 body of dsx::simd, simd/kernels.hpp): one
+// execution item is (image, block of simd::kSccTileFilters filters), whose
+// accumulators stay in registers over a strip of pixel vectors while the gw
+// taps stream the windows' channel planes. Each output element still sees
+// bias, then one mul and one add per tap in ascending k, then relu_value:
+// the scalar op sequence, so outputs are bit-identical to it.
 //
 // Backward: two designs, reproduced for the Fig. 9 ablation:
 //   * input-centric (DSXplore): one thread per *input*-gradient pixel pulls

@@ -13,9 +13,9 @@
 // streaming kernel is priced by the floats it moves). Below kInlineWork the
 // launch runs on its caller and takes no pool turn; above it, it fans out
 // over ThreadPool::current(). How much one CPU execution item holds (a
-// whole channel plane for DW/SCC, one float for ReLU) does not enter the
-// decision. A GrainOverride scope (dsx::tune's schedule axis) overrides it
-// by item count.
+// whole channel plane for DW, a block of filter planes for SCC, one float
+// for ReLU) does not enter the decision. A GrainOverride scope (dsx::tune's
+// schedule axis) overrides it by item count.
 #pragma once
 
 #include <atomic>

@@ -43,14 +43,25 @@ struct GemmCall {
   float* pack_b = nullptr;
 };
 
+/// Filters per SCC register tile. The CPU execution item of every SCC
+/// forward launch (scc::scc_forward_into and the simd candidates alike) is
+/// one image x a block of this many consecutive filters; the launch still
+/// records one GPU-model thread per output pixel.
+inline constexpr int64_t kSccTileFilters = 4;
+
 /// Fused SCC forward (one filter = one cyclic input-channel window), with an
 /// optional fused bias+ReLU epilogue. Mirrors scc::scc_forward_into's
 /// geometry; `map` supplies the per-filter window starts.
 struct SccCall {
+  const char* name = "simd_scc_forward";  // launch record name
   const float* input = nullptr;   // [N, Cin, H, W]
   const float* weight = nullptr;  // [Cout, gw]
   const float* bias = nullptr;    // optional [Cout]
   const scc::ChannelWindowMap* map = nullptr;
+  /// Channel-cyclic ablation (paper Algorithm 2): each filter recomputes its
+  /// window start as (f * step) % Cin instead of reading the map's
+  /// one-cycle table. Same starts, same results.
+  bool recompute_starts = false;
   int64_t N = 0, Cin = 0, H = 0, W = 0;
   int64_t Cout = 0, Ho = 0, Wo = 0, gw = 0, stride = 1;
   float* out = nullptr;  // [N, Cout, Ho, Wo]

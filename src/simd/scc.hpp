@@ -1,10 +1,15 @@
 // Vectorized fused SCC forward (dsx::simd).
 //
 // Same geometry contract as scc::scc_forward_into: one filter = one cyclic
-// input-channel window, output-centric, no data duplication. The stride-1
-// spatial plane is the contiguous axis, so each output tile keeps its
-// accumulator in a vector register while the gw taps stream whole channel
-// planes; `fuse_relu` applies the bias+ReLU epilogue before the store.
+// input-channel window, output-centric, no data duplication. The launch
+// records the GPU model (one thread per output pixel). The CPU runs the
+// register tile shared with scc::scc_forward_into (kernels_impl.inc): one
+// execution item is (image, block of kSccTileFilters filters), holding
+// R filters x P pixel vectors of accumulators in registers while the gw taps
+// stream the windows' channel planes (stride-1 planes are the contiguous
+// axis); filter tails run one-filter blocks, pixel tails and stride > 1
+// scalar accumulators, all in the same op order. `fuse_relu` applies the
+// ReLU before the one store.
 //
 // Fidelity: at SSE2 level (and scalar) the per-element accumulation order
 // and op sequence match the scalar fused kernel exactly - BIT-identical

@@ -2,16 +2,21 @@
 // implementations: forward equivalence against a literal reference, corner
 // cases (PW / GPW), backward-design equivalence (input-centric ==
 // output-centric), numerical gradients, and the atomic-operation claims of
-// the paper's Fig. 9.
+// the paper's Fig. 9; the bit-identity contract of the default forward
+// against an independent float reference, and its launch record.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "core/compositions.hpp"
+#include "core/scc_gemm.hpp"
 #include "core/scc_kernels.hpp"
 #include "device/atomic_stats.hpp"
+#include "device/launch.hpp"
 #include "ops/conv2d.hpp"
+#include "simd/scc.hpp"
 #include "tensor/alloc_tracker.hpp"
 #include "testing_utils.hpp"
 
@@ -19,6 +24,8 @@ namespace dsx::scc {
 namespace {
 
 using testing::ProbeLoss;
+using testing::bit_identical;
+using testing::float_scc_reference;
 using testing::max_numeric_grad_error;
 using testing::naive_scc;
 
@@ -151,6 +158,159 @@ INSTANTIATE_TEST_SUITE_P(
         SccCase{1, 16, 8, 3, 3, 8, 0.5, 1},      // Cout < Cin
         SccCase{1, 12, 24, 4, 4, 3, 0.5, 1},     // non-power-of-two
         SccCase{1, 4, 3, 2, 2, 2, 0.5, 1}));     // Cout not multiple of dist
+
+// ---- bit-identity against the float reference ----------------------------------
+//
+// The kOff contract: every bit-exact SCC forward computes, per output
+// element, bias + w0*x0 + w1*x1 + ... in ascending k with one float mul and
+// one float add per tap. Compared byte for byte (memcmp) with
+// float_scc_reference, never with another library kernel. The sweep hits
+// the register tile's edges: Cout not divisible by the 4-filter block,
+// planes below one vector (1x1, 2x2, 3x3), odd planes (5x7), a full 32x32
+// plane, stride 2, windows that wrap past Cin, no bias, and -0.0 bias with
+// NaN input under the fused ReLU.
+
+struct RefCase {
+  int64_t N, Cin, Cout, H, W, cg;
+  double co;
+  int64_t stride;
+  bool bias;
+  bool signed_zero_nan;  // -0.0 bias, +0.0 input with NaNs, negative weights
+};
+
+class SccFloatReference : public ::testing::TestWithParam<RefCase> {};
+
+/// Every bit-exact forward route under test, as `run(out, fuse_relu)`.
+struct Route {
+  const char* name;
+  std::function<void(Tensor&, bool)> run;
+};
+
+TEST_P(SccFloatReference, BitExactRoutesMatchByMemcmp) {
+  const RefCase p = GetParam();
+  const SCCConfig cfg = make_cfg(p.Cin, p.Cout, p.cg, p.co, p.stride);
+  const ChannelWindowMap map(cfg);
+  Rng rng(211);
+  Tensor in = random_uniform(make_nchw(p.N, p.Cin, p.H, p.W), rng);
+  Tensor w = random_uniform(Shape{p.Cout, map.group_width()}, rng);
+  Tensor b = random_uniform(Shape{p.Cout}, rng);
+  if (p.signed_zero_nan) {
+    in = Tensor(in.shape(), 0.0f);
+    for (int64_t i = 0; i < in.numel(); i += 7) {
+      in.data()[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    w = random_uniform(w.shape(), rng, -1.0f, -0.5f);
+    b = Tensor(b.shape(), -0.0f);
+  }
+  const Tensor* bp = p.bias ? &b : nullptr;
+
+  std::vector<Route> routes = {
+      {"scc_forward_into",
+       [&](Tensor& o, bool r) { scc_forward_into(in, w, bp, map, o, r); }},
+      {"scc_forward_no_cycle_table_into",
+       [&](Tensor& o, bool r) {
+         scc_forward_no_cycle_table_into(in, w, bp, map, o, r);
+       }},
+      {"scc_forward_gemm_into",
+       [&](Tensor& o, bool r) {
+         Workspace ws;
+         scc_forward_gemm_into(in, w, bp, map, ws, o, r);
+       }},
+  };
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2}) {
+    if (!simd::isa_available(isa)) continue;
+    routes.push_back({simd::isa_name(isa), [&, isa](Tensor& o, bool r) {
+                        simd::scc_forward_into(in, w, bp, map, o, r, isa);
+                      }});
+  }
+
+  // Signed zeros and NaNs are only pinned through the fused ReLU, which
+  // maps both to +0.0 (unfused NaN payloads depend on operand order).
+  const std::vector<bool> relus =
+      p.signed_zero_nan ? std::vector<bool>{true} : std::vector<bool>{false, true};
+  for (const bool relu : relus) {
+    const Tensor want = float_scc_reference(in, w, bp, map.group_width(),
+                                            window_starts(map), p.stride, relu);
+    for (const Route& route : routes) {
+      Tensor got(scc_output_shape(in.shape(), map), 1.0f);
+      route.run(got, relu);
+      EXPECT_TRUE(bit_identical(got, want))
+          << route.name << " fuse_relu=" << relu << " " << cfg.to_string()
+          << " N=" << p.N << " HxW=" << p.H << "x" << p.W;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SccFloatReference,
+    ::testing::Values(
+        RefCase{2, 8, 6, 1, 1, 2, 0.5, 1, true, false},      // 1x1, Cout % 4
+        RefCase{3, 16, 10, 2, 2, 4, 0.5, 1, true, false},    // 2x2 plane
+        RefCase{2, 12, 13, 3, 3, 3, 0.5, 1, true, false},    // 3x3, Cout % 4
+        RefCase{1, 16, 12, 5, 7, 2, 0.75, 1, true, false},   // 5x7 plane
+        RefCase{2, 8, 9, 32, 32, 2, 0.5, 1, true, false},    // 32x32 plane
+        RefCase{2, 8, 11, 7, 7, 2, 0.5, 2, true, false},     // stride 2
+        RefCase{1, 8, 8, 6, 5, 2, 0.5, 2, true, false},      // stride 2
+        RefCase{1, 6, 17, 4, 4, 1, 1.0, 1, true, false},     // gw == Cin
+        RefCase{2, 10, 14, 4, 6, 2, 0.2, 1, true, false},    // wrap, odd step
+        RefCase{1, 8, 7, 3, 5, 4, 0.0, 1, true, false},      // GPW corner
+        RefCase{2, 16, 9, 4, 4, 4, 0.5, 1, false, false},    // no bias
+        RefCase{2, 8, 12, 6, 6, 2, 0.5, 1, true, true},      // -0.0 / NaN
+        RefCase{2, 8, 7, 5, 3, 2, 0.5, 2, true, true}));     // ... strided
+
+// ---- launch record ----------------------------------------------------------------
+//
+// The CPU execution range of the forward is (image, filter block), but the
+// recorded launch is the paper's GPU model: one thread per output pixel,
+// each doing a gw-tap dot product. gpusim and the per-kernel benchmark rows
+// read exactly this record.
+
+void expect_one_scc_launch(const char* name,
+                           const std::function<void(Tensor&)>& run,
+                           const Shape& out_shape, int64_t gw) {
+  Tensor out(out_shape);
+  device::KernelProfileScope profile;
+  run(out);
+  const std::vector<device::KernelRecord> records = profile.records();
+  ASSERT_EQ(records.size(), 1u) << name;
+  EXPECT_EQ(records[0].name, name);
+  EXPECT_EQ(records[0].threads, out.numel());
+  EXPECT_DOUBLE_EQ(records[0].flops_per_thread, 2.0 * gw);
+  EXPECT_DOUBLE_EQ(records[0].bytes_per_thread, 4.0 * (gw + 2.0));
+  EXPECT_EQ(records[0].atomic_adds, 0);
+}
+
+TEST(SccLaunchRecord, OneLaunchPerForwardWithPerPixelModelThreads) {
+  for (const int64_t stride : {1, 2}) {
+    const SCCConfig cfg = make_cfg(16, 10, 4, 0.5, stride);
+    const ChannelWindowMap map(cfg);
+    Rng rng(223);
+    const Tensor in = random_uniform(make_nchw(3, 16, 7, 7), rng);
+    const Tensor w = random_uniform(Shape{10, map.group_width()}, rng);
+    const Tensor b = random_uniform(Shape{10}, rng);
+    const Shape out_shape = scc_output_shape(in.shape(), map);
+    const int64_t gw = map.group_width();
+    for (const bool relu : {false, true}) {
+      expect_one_scc_launch(
+          "scc_forward",
+          [&](Tensor& o) { scc_forward_into(in, w, &b, map, o, relu); },
+          out_shape, gw);
+      expect_one_scc_launch(
+          "scc_forward_nocc",
+          [&](Tensor& o) {
+            scc_forward_no_cycle_table_into(in, w, &b, map, o, relu);
+          },
+          out_shape, gw);
+      expect_one_scc_launch(
+          "simd_scc_forward",
+          [&](Tensor& o) {
+            simd::scc_forward_into(in, w, &b, map, o, relu,
+                                   simd::Isa::kScalar);
+          },
+          out_shape, gw);
+    }
+  }
+}
 
 // ---- corner-case equivalences ---------------------------------------------------
 

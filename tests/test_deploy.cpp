@@ -404,12 +404,15 @@ TEST(Rollout, ShadowCanaryPromoteThenGuardrailRollback) {
   ModelStore store(fresh_dir("store_rollout"));
 
   // v1/v2: same tiny design point, different weights. v3: a 2.0-width
-  // variant of the same family - ~64x the MACs, a p99 regression heavy
-  // enough to clear the guardrail ratio even when CI contention inflates
-  // the primary's own tail latency.
+  // DW+PW variant of the same family - dense pointwise convs (the baseline
+  // SCC replaces), ~128x the pointwise MACs: a p99 regression heavy enough
+  // to clear the guardrail ratio even when CI contention inflates the
+  // primary's own tail latency. Its cost sits in conv2d, so a faster SCC
+  // kernel does not shrink the regression.
   const ArchSpec spec_v1 = tiny_spec(51);
   const ArchSpec spec_v2 = tiny_spec(52);
-  const ArchSpec spec_v3 = tiny_spec(53, /*width_mult=*/2.0);
+  ArchSpec spec_v3 = tiny_spec(53, /*width_mult=*/2.0);
+  spec_v3.scheme.scheme = models::ConvScheme::kDWPW;
 
   // Measure v1's problems once and persist the records with v2, so staging
   // v2 warm-starts (v1 and v2 share every problem shape).
@@ -533,7 +536,7 @@ TEST(Rollout, ShadowCanaryPromoteThenGuardrailRollback) {
   ASSERT_LT(pre_promote.candidate_requests + pre_promote.candidate_errors,
             ropts.guardrail_min_samples);
 
-  // --- stage v3 (64x MACs), canary, and watch the guardrail fire -----------
+  // --- stage v3 (DW+PW x2.0), canary, and watch the guardrail fire --------
   rollout.stage("mnet", "v3", serve::CompileOptions{.max_batch = 4});
   // 100% canary: every request routes to the slow candidate, so it crosses
   // guardrail_min_samples fastest (the deterministic 25% split was already

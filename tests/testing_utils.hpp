@@ -126,6 +126,39 @@ inline Tensor naive_scc(const Tensor& in, const Tensor& w, const Tensor* b,
   return out;
 }
 
+/// Float SCC reference for the bit-identity contract of the default kernel:
+/// per output element acc = bias, then acc += w[k] * x in ascending k (one
+/// float mul, one float add per tap), then relu_value (`x > 0 ? x : 0`) when
+/// `fuse_relu`. Independent of every library kernel, so a kernel rewrite is
+/// checked against the op sequence itself rather than its own history.
+inline Tensor float_scc_reference(const Tensor& in, const Tensor& w,
+                                  const Tensor* b, int64_t gw,
+                                  const std::vector<int64_t>& starts,
+                                  int64_t stride, bool fuse_relu) {
+  const int64_t N = in.shape().n(), Cin = in.shape().c();
+  const int64_t H = in.shape().h(), W = in.shape().w();
+  const int64_t Cout = w.shape().dim(0);
+  const int64_t Ho = (H - 1) / stride + 1;
+  const int64_t Wo = (W - 1) / stride + 1;
+  Tensor out(make_nchw(N, Cout, Ho, Wo));
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t f = 0; f < Cout; ++f) {
+      const int64_t start = starts[static_cast<size_t>(f)];
+      for (int64_t y = 0; y < Ho; ++y) {
+        for (int64_t x = 0; x < Wo; ++x) {
+          float acc = b != nullptr ? b->data()[f] : 0.0f;
+          for (int64_t k = 0; k < gw; ++k) {
+            acc += w.at(f, k) * in.at(n, (start + k) % Cin, y * stride,
+                                      x * stride);
+          }
+          out.at(n, f, y, x) = fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 /// Scalar probe loss: sum(output .* mask) with a fixed pseudo-random mask,
 /// so dLoss/dOutput == mask.
 struct ProbeLoss {
