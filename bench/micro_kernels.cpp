@@ -203,8 +203,7 @@ std::string json_scc_timing(const SccShape& s, const tune::CandidateTiming& t) {
   std::ostringstream os;
   os << "{\"op\":\"scc_forward\",\"shape\":\"" << s.tag << "\",\"n\":" << s.batch
      << ",\"c\":" << s.cin << ",\"hw\":" << s.spatial << ",\"cout\":" << s.cout
-     << ",\"variant\":\"" << t.variant << "\",\"grain\":\""
-     << tune::grain_name(t.grain) << "\",\"fidelity\":\""
+     << ",\"variant\":\"" << t.variant << "\",\"fidelity\":\""
      << tune::fidelity_name(t.fidelity)
      << "\",\"median_ns\":" << bench::fmt(t.median_ns, 0)
      << "}";
@@ -217,8 +216,7 @@ std::string json_conv_timing(const ConvShape& s,
   os << "{\"op\":\"conv2d_forward\",\"shape\":\"" << s.tag
      << "\",\"n\":" << s.batch << ",\"c\":" << s.cin << ",\"hw\":" << s.spatial
      << ",\"cout\":" << s.cout << ",\"k\":" << s.k << ",\"variant\":\""
-     << t.variant << "\",\"grain\":\"" << tune::grain_name(t.grain)
-     << "\",\"fidelity\":\"" << tune::fidelity_name(t.fidelity)
+     << t.variant << "\",\"fidelity\":\"" << tune::fidelity_name(t.fidelity)
      << "\",\"median_ns\":" << bench::fmt(t.median_ns, 0) << "}";
   return os.str();
 }
@@ -227,18 +225,12 @@ std::string json_winner(const char* op, const char* tag,
                         const tune::TuningRecord& rec) {
   std::ostringstream os;
   os << "{\"kind\":\"problem_winner\",\"op\":\"" << op << "\",\"shape\":\""
-     << tag << "\",\"variant\":\"" << rec.variant << "\",\"grain\":\""
-     << tune::grain_name(rec.grain)
+     << tag << "\",\"variant\":\"" << rec.variant
      << "\",\"median_ns\":" << bench::fmt(rec.median_ns, 0)
      << ",\"default_ns\":" << bench::fmt(rec.default_ns, 0)
      << ",\"speedup_vs_default\":"
      << bench::fmt(rec.default_ns / rec.median_ns, 3) << "}";
   return os.str();
-}
-
-bool non_default(const std::string& variant, int64_t grain,
-                 const char* default_variant) {
-  return variant != default_variant || grain != tune::kGrainDefault;
 }
 
 /// Interleaved A-vs-B plan timing, same reasoning as the Tuner: one run of
@@ -265,36 +257,32 @@ std::pair<double, double> time_plans_interleaved(serve::CompiledModel& a,
 
 /// Prints a compiled plan's per-layer winners and emits one `kind` JSON
 /// record per layer into `out`. When `scc_non_default_win` is non-null it
-/// is OR-ed with "an SCC layer picked a non-default variant/schedule with
-/// measured speedup" (the sweep SHAPE-CHECK input).
+/// is OR-ed with "an SCC layer picked a non-default variant with measured
+/// speedup" (the sweep SHAPE-CHECK input).
 void report_plan_layers(const serve::CompiledModel& plan, const char* kind,
                         bench::JsonWriter& out, bool* scc_non_default_win) {
   for (const serve::TunedLayerChoice& c : plan.report().tuned) {
-    std::printf("  %-40s %s@g=%s [%s]  %.0f -> %.0f ns (%.2fx)\n",
+    std::printf("  %-40s %s [%s]  %.0f -> %.0f ns (%.2fx)\n",
                 c.layer.c_str(), c.variant.c_str(),
-                tune::grain_name(c.grain).c_str(),
                 tune::fidelity_name(c.fidelity), c.default_ns, c.median_ns,
                 c.default_ns / c.median_ns);
     std::ostringstream os;
     os << "{\"kind\":\"" << kind << "\",\"layer\":\"" << c.layer
-       << "\",\"variant\":\"" << c.variant << "\",\"grain\":\""
-       << tune::grain_name(c.grain) << "\",\"fidelity\":\""
+       << "\",\"variant\":\"" << c.variant << "\",\"fidelity\":\""
        << tune::fidelity_name(c.fidelity)
        << "\",\"median_ns\":" << bench::fmt(c.median_ns, 0)
        << ",\"default_ns\":" << bench::fmt(c.default_ns, 0) << "}";
     out.add(os.str());
     if (scc_non_default_win != nullptr && c.layer.rfind("SCCConv", 0) == 0 &&
-        non_default(c.variant, c.grain, "fused") &&
-        c.median_ns < c.default_ns) {
+        c.variant != "fused" && c.median_ns < c.default_ns) {
       *scc_non_default_win = true;
     }
   }
 }
 
 /// Tuned-vs-untuned serving plan model: a conv stem plus three SCC stages
-/// whose N*Cout exec ranges sit at or above the kDefaultGrain parallelise
-/// threshold while the spatial work shrinks 8x8 -> 4x4 - the deep-layer
-/// regime where the static heuristic most needs measuring.
+/// whose spatial work shrinks 8x8 -> 4x4 - the deep-layer regime where
+/// per-item work is smallest and kernel variants differ most.
 std::unique_ptr<nn::Sequential> build_plan_model(uint64_t seed) {
   Rng rng(seed);
   auto net = std::make_unique<nn::Sequential>();
@@ -312,9 +300,8 @@ std::unique_ptr<nn::Sequential> build_plan_model(uint64_t seed) {
 }
 
 int run() {
-  // The schedule axis needs a pool wider than one thread to exist; honor an
-  // operator's DSX_THREADS but default to 4 so even single-core CI
-  // exercises (and measures!) the parallel-vs-serial decision.
+  // Honor an operator's DSX_THREADS but default to 4 so even single-core CI
+  // measures the kernels under the same fan-out a multi-core host gets.
   ::setenv("DSX_THREADS", "4", /*overwrite=*/0);
   bench::banner("dsx::tune candidate sweep + tuned serving plan");
   std::printf("pool threads: %u (DSX_THREADS=%s)\n",
@@ -334,16 +321,13 @@ int run() {
   const std::vector<SccShape> scc_shapes = {
       // Mid-network geometry: 1024 (n, filter) planes of 8x8 work.
       {"b8_c64_s8_cout128", 8, 64, 128, 8, 4, 0.5},
-      // Deep-layer geometry: 1024 planes of TINY 2x2/gw4 work. The static
-      // grain heuristic parallelises on range length alone, but here the
-      // pool hand-off costs more than the whole loop - the shape the tuner
-      // is for.
+      // Deep-layer geometry: 1024 planes of TINY 2x2/gw4 work - per-item
+      // overheads (window lookup, hand-off) dominate the arithmetic.
       {"b8_c64_s2_cout128", 8, 64, 128, 2, 16, 0.5},
       // Head geometry after full downsampling: 2048 planes of one pixel
-      // each - the pathological case for range-length grain heuristics.
+      // each - the tiniest execution items in the sweep.
       {"b8_c64_s1_cout256", 8, 64, 256, 1, 16, 0.5},
-      // Single-image geometry: 128 planes of heavy 32x32 work stays serial
-      // under the default heuristic (a win to find on true multi-core).
+      // Single-image geometry: 128 planes of heavy 32x32 work.
       {"b1_c64_s32_cout128", 1, 64, 128, 32, 4, 0.5},
       // The two SCC shapes that dominate a b8 run of the x1.0 32x32
       // MobileNet-SCC (cg 4, co 50%): 512->512 at 4x4 (gw 128, five
@@ -364,11 +348,10 @@ int run() {
       kernels.add(json_scc_timing(s, t));
     }
     tuned_report.add(json_winner("scc_forward", s.tag, result.record));
-    std::printf("  scc  %-20s -> %s@g=%s (%.2fx vs default)\n", s.tag,
+    std::printf("  scc  %-20s -> %s (%.2fx vs default)\n", s.tag,
                 result.record.variant.c_str(),
-                tune::grain_name(result.record.grain).c_str(),
                 result.record.default_ns / result.record.median_ns);
-    if (non_default(result.record.variant, result.record.grain, "fused") &&
+    if (result.record.variant != "fused" &&
         result.record.median_ns < result.record.default_ns) {
       scc_non_default_win = true;
     }
@@ -390,9 +373,8 @@ int run() {
       kernels.add(json_conv_timing(s, t));
     }
     tuned_report.add(json_winner("conv2d_forward", s.tag, result.record));
-    std::printf("  conv %-20s -> %s@g=%s (%.2fx vs default)\n", s.tag,
+    std::printf("  conv %-20s -> %s (%.2fx vs default)\n", s.tag,
                 result.record.variant.c_str(),
-                tune::grain_name(result.record.grain).c_str(),
                 result.record.default_ns / result.record.median_ns);
   }
 
@@ -461,7 +443,7 @@ int run() {
   serve::CompiledModel untuned(build_plan_model(5), Shape{3, image, image},
                                {.max_batch = batch});
   // The compile pass uses a higher challenger bar than the sweep: a baked
-  // schedule must beat the default by >10% measured, which keeps plan
+  // variant must beat the default by >10% measured, which keeps plan
   // choices out of this substrate's noise band.
   serve::CompiledModel tuned(
       build_plan_model(5), Shape{3, image, image},
@@ -539,8 +521,8 @@ int run() {
     ok = bench::shape_check(claim, tuned_ms <= untuned_ms * 1.10) && ok;
   }
   ok = bench::shape_check(
-           "at least one SCC problem selects a non-default variant/schedule "
-           "with measured speedup",
+           "at least one SCC problem selects a non-default variant with "
+           "measured speedup",
            scc_non_default_win) &&
        ok;
   if (simd::isa_available(simd::Isa::kAvx2)) {

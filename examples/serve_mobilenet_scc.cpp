@@ -110,8 +110,8 @@ int run_tuning_demo() {
               "tuned", "gain");
   for (const serve::TunedLayerChoice& c : cold_report.tuned) {
     std::printf("  %-44s %-18s %8.0fns %8.0fns %6.2fx\n", c.layer.c_str(),
-                (c.variant + "@g=" + tune::grain_name(c.grain)).c_str(),
-                c.default_ns, c.median_ns, c.default_ns / c.median_ns);
+                c.variant.c_str(), c.default_ns, c.median_ns,
+                c.default_ns / c.median_ns);
   }
   if (cold_report.tuned.empty()) {
     std::printf("  (every problem kept the default implementation)\n");

@@ -81,6 +81,13 @@ if [[ "${FAST}" != "1" ]]; then
   # the staged version bit-identically (see examples/serve_mobilenet_scc).
   ./build/example_serve_mobilenet_scc --canary
 
+  echo "== tuning cache round trip (cold + warm compile) =="
+  # The cold kTune compile measures every problem and writes the current
+  # (v3) dsx_tune_cache.bin; the warm compile must load it and measure
+  # nothing - the example exits 1 if it re-measures anything.
+  ./build/example_serve_mobilenet_scc --tune
+  rm -f dsx_tune_cache.bin
+
   echo "== obs smoke: metrics exposition + request trace =="
   # Serve under load with full tracing, then validate the two export
   # surfaces: the Prometheus exposition must contain the serving counters

@@ -56,6 +56,10 @@ class ChannelWindowMap {
 
   /// Window of filter `f` (any 0 <= f < Cout); O(1) via the cyclic table.
   ChannelWindow window(int64_t filter) const;
+  /// The one-cycle start table, [cyclic_dist()]: filter f's window starts
+  /// at cycle_starts()[f % cyclic_dist()]. Unchecked, for kernel loops that
+  /// already bound f by Cout.
+  const int64_t* cycle_starts() const { return cycle_starts_.data(); }
   /// Input channel read by weight tap k of filter f: (start_f + k) mod Cin.
   int64_t input_channel(int64_t filter, int64_t k) const;
 

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "device/atomic_stats.hpp"
-#include "device/parallel_for.hpp"
 #include "device/thread_pool.hpp"
 
 namespace dsx::device {
@@ -64,21 +63,17 @@ void record_launch(const char* name, int64_t threads, const KernelCosts& costs,
 }
 
 /// Runs body over [0, exec_range) inline or across ThreadPool::current(),
-/// by declared work (see kInlineWork); an active GrainOverride decides by
-/// item count instead, as the tuner's schedule axis expects.
+/// by declared work (see kInlineWork).
 void schedule(int64_t exec_range, int64_t model_threads,
               const KernelCosts& costs,
               const std::function<void(int64_t, int64_t)>& body) {
   DSX_REQUIRE(exec_range >= 0, "launch: negative range");
   if (exec_range == 0) return;
-  const int64_t grain = grain_override();
   const double work =
       static_cast<double>(model_threads) *
       std::max(costs.flops_per_thread, costs.bytes_per_thread / 4.0);
-  const bool fan_out = grain > 0 ? exec_range >= grain
-                                 : exec_range > 1 && work >= kInlineWork;
   ThreadPool& pool = ThreadPool::current();
-  if (fan_out) {
+  if (exec_range > 1 && work >= kInlineWork) {
     pool.run_chunks(exec_range, body);
   } else {
     pool.run_inline(exec_range, body);

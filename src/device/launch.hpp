@@ -14,8 +14,8 @@
 // launch runs on its caller and takes no pool turn; above it, it fans out
 // over ThreadPool::current(). How much one CPU execution item holds (a
 // whole channel plane for DW, a block of filter planes for SCC, one float
-// for ReLU) does not enter the decision. A GrainOverride scope (dsx::tune's
-// schedule axis) overrides it by item count.
+// for ReLU) does not enter the decision, and nothing overrides it: this
+// rule is the only launch-scheduling policy in the library.
 #pragma once
 
 #include <atomic>

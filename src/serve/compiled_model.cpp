@@ -152,8 +152,8 @@ void CompiledModel::run_tuning_pass() {
       }
     }
     if (rec == nullptr) return;
-    report_.tuned.push_back({layer.name(), rec->variant, rec->grain,
-                             rec->fidelity, rec->median_ns, rec->default_ns});
+    report_.tuned.push_back({layer.name(), rec->variant, rec->fidelity,
+                             rec->median_ns, rec->default_ns});
   });
 }
 

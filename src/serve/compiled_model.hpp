@@ -68,7 +68,6 @@ struct CompileOptions {
 struct TunedLayerChoice {
   std::string layer;    // nn::Layer::name()
   std::string variant;  // winning registry variant ("fused", "simd_avx2"...)
-  int64_t grain = 0;    // winning schedule grain (0 = library default)
   /// Numerical contract of the baked winner (kUlpBounded only ever appears
   /// when the compile opted into allow_fast_math).
   tune::Fidelity fidelity = tune::Fidelity::kBitExact;

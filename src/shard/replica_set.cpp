@@ -38,13 +38,13 @@ ReplicaSet::ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
 
   // Phase 1: compile the whole fleet. Replica 0 is the prototype itself;
   // its plan was compiled on the caller's pool (typically wider than the
-  // lane) - acceptable, on narrow lanes the schedule axis is moot and
-  // kernel variants differ mildly. Clones compile UNDER their lane's
-  // PoolScope with the prototype's tuning mode preserved: the tuning
-  // ProblemKey includes the executing pool's width, so a kTune prototype's
-  // first clone measures each problem once at lane width and every later
-  // clone (same width) hits those cache records - the fleet shares one
-  // lane-sized plan and measuring happens at most once per distinct width.
+  // lane) - acceptable, kernel variants differ only mildly across pool
+  // widths. Clones compile UNDER their lane's PoolScope with the
+  // prototype's tuning mode preserved: the tuning ProblemKey includes the
+  // executing pool's width, so a kTune prototype's first clone measures
+  // each problem once at lane width and every later clone (same width)
+  // hits those cache records - the fleet shares one lane-sized plan and
+  // measuring happens at most once per distinct width.
   replicas_.reserve(static_cast<size_t>(opts.replicas));
   for (int r = 0; r < opts.replicas; ++r) {
     Replica rep;

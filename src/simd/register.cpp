@@ -30,16 +30,16 @@ std::string variant_name(Isa isa) {
 }  // namespace
 
 void register_simd_kernels(tune::KernelRegistry& registry) {
-  // SCC forward: SSE2 preserves the scalar per-element op sequence
-  // (kBitExact, admissible in strict mode); AVX2 uses FMA (kUlpBounded).
+  // SCC forward: the SSE2 tile is the registry's default "fused" kernel
+  // (scc::scc_forward_into runs it), so only the FMA levels above it add a
+  // candidate (kUlpBounded).
   registry.register_scc_factory(
-      [](const tune::ProblemKey& key, std::vector<tune::SCCCandidate>& out) {
-        (void)key;
+      [](const tune::ProblemKey&, std::vector<tune::SCCCandidate>& out) {
         for (const Isa isa : candidate_levels()) {
+          if (isa == Isa::kSse2) continue;
           tune::SCCCandidate cand;
           cand.variant = variant_name(isa);
-          cand.fidelity = isa == Isa::kSse2 ? tune::Fidelity::kBitExact
-                                            : tune::Fidelity::kUlpBounded;
+          cand.fidelity = tune::Fidelity::kUlpBounded;
           cand.run = [isa](const tune::SCCProblem& p) {
             scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out,
                              p.fuse_relu, isa);
@@ -72,11 +72,12 @@ void register_simd_kernels(tune::KernelRegistry& registry) {
         }
       });
 
-  // depthwise forward: same fidelity split as SCC.
+  // depthwise forward: SSE2 keeps the scalar kernel's per-element op
+  // sequence (kBitExact, admissible in strict mode) but is different code
+  // from the scalar default; AVX2 uses FMA (kUlpBounded).
   registry.register_depthwise_factory(
-      [](const tune::ProblemKey& key,
+      [](const tune::ProblemKey&,
          std::vector<tune::DepthwiseCandidate>& out) {
-        (void)key;
         for (const Isa isa : candidate_levels()) {
           tune::DepthwiseCandidate cand;
           cand.variant = variant_name(isa);

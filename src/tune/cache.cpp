@@ -103,7 +103,6 @@ void TuningCache::save(std::ostream& os) const {
   for (const TuningRecord& rec : snapshot) {
     write_key(os, rec.key);
     write_str(os, rec.variant);
-    write_i64(os, rec.grain);
     write_i64(os, static_cast<int64_t>(rec.fidelity));
     write_f64(os, rec.median_ns);
     write_f64(os, rec.default_ns);
@@ -134,7 +133,6 @@ void TuningCache::load(std::istream& is) {
     TuningRecord rec;
     rec.key = read_key(is);
     rec.variant = read_str(is);
-    rec.grain = read_i64(is);
     const int64_t fidelity = read_i64(is);
     DSX_REQUIRE(fidelity == static_cast<int64_t>(Fidelity::kBitExact) ||
                     fidelity == static_cast<int64_t>(Fidelity::kUlpBounded),

@@ -1,6 +1,6 @@
 // Persistent store of tuning decisions.
 //
-// A TuningRecord pins the winning (variant, grain) for one ProblemKey plus
+// A TuningRecord pins the winning kernel variant for one ProblemKey plus
 // the measured medians that justified it. The cache is an in-memory map with
 // versioned on-disk persistence (binary, little-endian, magic "DSXU" - the
 // same conventions as tensor/serialize), so a process warm-starts from a
@@ -23,7 +23,6 @@ namespace dsx::tune {
 struct TuningRecord {
   ProblemKey key;
   std::string variant;  // winning registry variant
-  int64_t grain = 0;    // winning grain axis value (0 = library default)
   /// Numerical contract of the winner relative to the family default. A
   /// kUlpBounded record is only applied while fast-math is opted in;
   /// otherwise dispatch falls back to the default kernel (never a silent
@@ -41,7 +40,9 @@ class TuningCache {
   /// On-disk format version; bumped whenever the record layout changes.
   /// v2 added TuningRecord::fidelity - a v1 file has no way to say whether
   /// its winner was bit-exact, so loading one throws instead of guessing.
-  static constexpr int64_t kVersion = 2;
+  /// v3 dropped the per-record grain slot (launch scheduling is no longer
+  /// tuned); a v2 record would shift every later field by eight bytes.
+  static constexpr int64_t kVersion = 3;
 
   std::optional<TuningRecord> find(const ProblemKey& key) const;
   void put(const TuningRecord& record);  // last writer wins

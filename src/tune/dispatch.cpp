@@ -91,12 +91,10 @@ void dispatch_impl(const Problem& problem, Site* site, MakeKey&& make_key,
   // off fails this fidelity-gated lookup and falls through to the default
   // kernel - a fast-math record can never change a strict process's
   // numerics.
-  using Candidate = typename decltype(find_candidate(
-      key, std::string(), int64_t{0}, false))::value_type;
+  using Candidate = typename decltype(find_candidate(key, std::string(),
+                                                     false))::value_type;
   std::optional<Candidate> cand;
-  if (rec.has_value()) {
-    cand = find_candidate(key, rec->variant, rec->grain, allow);
-  }
+  if (rec.has_value()) cand = find_candidate(key, rec->variant, allow);
   if (!cand.has_value()) {  // cache miss in kCached, or a stale record
     auto candidates = enumerate(key, allow);
     DSX_CHECK(!candidates.empty(), "tune: registry offered no candidates");
@@ -132,8 +130,9 @@ void scc_forward_dispatch(const Tensor& input, const Tensor& weight,
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_scc(key, input, weight, bias, map);
       },
-      [&](const ProblemKey& key, const std::string& variant, int64_t grain,
-          bool allow) { return registry.find_scc(key, variant, grain, allow); },
+      [&](const ProblemKey& key, const std::string& variant, bool allow) {
+        return registry.find_scc(key, variant, allow);
+      },
       [&](const ProblemKey& key, bool allow) {
         return registry.scc_forward(key, allow);
       });
@@ -154,9 +153,8 @@ void conv2d_forward_dispatch(const Tensor& input, const Tensor& weight,
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_conv2d(key, input, weight, bias, args);
       },
-      [&](const ProblemKey& key, const std::string& variant, int64_t grain,
-          bool allow) {
-        return registry.find_conv(key, variant, grain, allow);
+      [&](const ProblemKey& key, const std::string& variant, bool allow) {
+        return registry.find_conv(key, variant, allow);
       },
       [&](const ProblemKey& key, bool allow) {
         return registry.conv2d_forward(key, allow);
@@ -181,9 +179,8 @@ void depthwise_forward_dispatch(const Tensor& input, const Tensor& weight,
       [&](const Tuner& tuner, const ProblemKey& key) {
         return tuner.tune_depthwise(key, input, weight, bias, args);
       },
-      [&](const ProblemKey& key, const std::string& variant, int64_t grain,
-          bool allow) {
-        return registry.find_depthwise(key, variant, grain, allow);
+      [&](const ProblemKey& key, const std::string& variant, bool allow) {
+        return registry.find_depthwise(key, variant, allow);
       },
       [&](const ProblemKey& key, bool allow) {
         return registry.depthwise_forward(key, allow);

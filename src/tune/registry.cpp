@@ -1,23 +1,12 @@
 #include "tune/registry.hpp"
 
-#include <sstream>
-
 #include "core/scc_gemm.hpp"
 #include "core/scc_kernels.hpp"
-#include "device/parallel_for.hpp"
 #include "simd/register.hpp"
 
 namespace dsx::tune {
 
 namespace {
-
-/// Schedule axis: library default, always-parallel, force-serial. With one
-/// pool thread every grain degenerates to serial execution, so only the
-/// default survives (fewer candidates = cheaper tuning).
-std::vector<int64_t> grain_axis(int64_t threads) {
-  if (threads <= 1) return {kGrainDefault};
-  return {kGrainDefault, 1, device::kSerialGrain};
-}
 
 /// Drops kUlpBounded candidates unless fast-math admitted them. The default
 /// implementation is always kBitExact, so the front stays the default.
@@ -32,32 +21,14 @@ void filter_fidelity(std::vector<Candidate>& candidates,
 
 template <typename Candidate>
 std::optional<Candidate> find_in(std::vector<Candidate> candidates,
-                                 const std::string& variant, int64_t grain) {
+                                 const std::string& variant) {
   for (Candidate& c : candidates) {
-    if (c.variant == variant && c.grain == grain) return std::move(c);
+    if (c.variant == variant) return std::move(c);
   }
   return std::nullopt;
 }
 
 }  // namespace
-
-std::string grain_name(int64_t grain) {
-  if (grain == kGrainDefault) return "default";
-  if (grain == device::kSerialGrain) return "serial";
-  return std::to_string(grain);
-}
-
-std::string SCCCandidate::label() const {
-  return variant + "@g=" + grain_name(grain);
-}
-
-std::string ConvCandidate::label() const {
-  return variant + "@g=" + grain_name(grain);
-}
-
-std::string DepthwiseCandidate::label() const {
-  return variant + "@g=" + grain_name(grain);
-}
 
 KernelRegistry& KernelRegistry::global() {
   static KernelRegistry registry;
@@ -68,17 +39,14 @@ KernelRegistry::KernelRegistry() {
   // ---- built-in SCC forward candidates -------------------------------------
   register_scc_factory([](const ProblemKey& key,
                           std::vector<SCCCandidate>& out) {
-    for (const int64_t grain : grain_axis(key.threads)) {
-      SCCCandidate fused;
-      fused.variant = "fused";
-      fused.grain = grain;
-      fused.run = [grain](const SCCProblem& p) {
-        device::GrainOverride scope(grain);
-        scc::scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out,
-                              p.fuse_relu);
-      };
-      out.push_back(std::move(fused));
-    }
+    SCCCandidate fused;
+    fused.variant = "fused";
+    fused.run = [](const SCCProblem& p) {
+      scc::scc_forward_into(*p.input, *p.weight, p.bias, *p.map, *p.out,
+                            p.fuse_relu);
+    };
+    out.push_back(std::move(fused));
+
     SCCCandidate nocc;
     nocc.variant = "fused_nocc";
     nocc.run = [](const SCCProblem& p) {
@@ -107,47 +75,34 @@ KernelRegistry::KernelRegistry() {
     const Shape in_shape = make_nchw(key.n, key.c, key.h, key.w);
     const Shape w_shape{key.cout, key.c / key.groups, key.kernel, key.kernel};
     const Conv2dArgs args{key.stride, key.pad, key.groups};
-    const int64_t im2col_scratch =
-        conv2d_workspace_floats(in_shape, w_shape, args);
-    for (const int64_t grain : grain_axis(key.threads)) {
-      ConvCandidate lowered;
-      lowered.variant = "im2col";
-      lowered.grain = grain;
-      lowered.scratch_floats = im2col_scratch;
-      lowered.run = [grain](const ConvProblem& p) {
-        device::GrainOverride scope(grain);
-        conv2d_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.ws,
-                            *p.out, p.fuse_relu);
-      };
-      out.push_back(std::move(lowered));
-    }
-    for (const int64_t grain : grain_axis(key.threads)) {
-      ConvCandidate direct;
-      direct.variant = "direct";
-      direct.grain = grain;
-      direct.run = [grain](const ConvProblem& p) {
-        device::GrainOverride scope(grain);
-        conv2d_forward_direct_into(*p.input, *p.weight, p.bias, *p.args,
-                                   *p.out, p.fuse_relu);
-      };
-      out.push_back(std::move(direct));
-    }
+    ConvCandidate lowered;
+    lowered.variant = "im2col";
+    lowered.scratch_floats = conv2d_workspace_floats(in_shape, w_shape, args);
+    lowered.run = [](const ConvProblem& p) {
+      conv2d_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.ws, *p.out,
+                          p.fuse_relu);
+    };
+    out.push_back(std::move(lowered));
+
+    ConvCandidate direct;
+    direct.variant = "direct";
+    direct.run = [](const ConvProblem& p) {
+      conv2d_forward_direct_into(*p.input, *p.weight, p.bias, *p.args, *p.out,
+                                 p.fuse_relu);
+    };
+    out.push_back(std::move(direct));
   });
 
   // ---- built-in depthwise forward candidates -------------------------------
-  register_depthwise_factory([](const ProblemKey& key,
+  register_depthwise_factory([](const ProblemKey&,
                                 std::vector<DepthwiseCandidate>& out) {
-    for (const int64_t grain : grain_axis(key.threads)) {
-      DepthwiseCandidate direct;
-      direct.variant = "direct";
-      direct.grain = grain;
-      direct.run = [grain](const DepthwiseProblem& p) {
-        device::GrainOverride scope(grain);
-        depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.out,
-                               p.fuse_relu);
-      };
-      out.push_back(std::move(direct));
-    }
+    DepthwiseCandidate direct;
+    direct.variant = "direct";
+    direct.run = [](const DepthwiseProblem& p) {
+      depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args, *p.out,
+                             p.fuse_relu);
+    };
+    out.push_back(std::move(direct));
   });
 
   // ---- vectorized CPU backend ----------------------------------------------
@@ -209,21 +164,21 @@ std::vector<DepthwiseCandidate> KernelRegistry::depthwise_forward(
 }
 
 std::optional<SCCCandidate> KernelRegistry::find_scc(
-    const ProblemKey& key, const std::string& variant, int64_t grain,
+    const ProblemKey& key, const std::string& variant,
     bool allow_ulp_bounded) const {
-  return find_in(scc_forward(key, allow_ulp_bounded), variant, grain);
+  return find_in(scc_forward(key, allow_ulp_bounded), variant);
 }
 
 std::optional<ConvCandidate> KernelRegistry::find_conv(
-    const ProblemKey& key, const std::string& variant, int64_t grain,
+    const ProblemKey& key, const std::string& variant,
     bool allow_ulp_bounded) const {
-  return find_in(conv2d_forward(key, allow_ulp_bounded), variant, grain);
+  return find_in(conv2d_forward(key, allow_ulp_bounded), variant);
 }
 
 std::optional<DepthwiseCandidate> KernelRegistry::find_depthwise(
-    const ProblemKey& key, const std::string& variant, int64_t grain,
+    const ProblemKey& key, const std::string& variant,
     bool allow_ulp_bounded) const {
-  return find_in(depthwise_forward(key, allow_ulp_bounded), variant, grain);
+  return find_in(depthwise_forward(key, allow_ulp_bounded), variant);
 }
 
 }  // namespace dsx::tune

@@ -1,21 +1,22 @@
 // Interchangeable kernel implementations per op family.
 //
 // The registry is the autotuner's menu: for a given ProblemKey it enumerates
-// every (variant, grain) candidate that computes the same result - the
-// contract is BIT-identical outputs (tests/test_tune.cpp enforces it
-// property-style), which is what lets a frozen serving plan swap variants
-// without re-validating numerics.
+// every kernel variant that computes the same result - the contract is
+// BIT-identical outputs (tests/test_tune.cpp enforces it property-style),
+// which is what lets a frozen serving plan swap variants without
+// re-validating numerics.
 //
 // Built-in candidates:
-//   SCC forward : fused output-centric kernel (default), the cycle-table-off
-//                 ablation, and the im2col-style per-filter GEMM route;
+//   SCC forward : fused output-centric kernel (default; the dsx::simd SSE2
+//                 register tile), the cycle-table-off ablation, and the
+//                 im2col-style per-filter GEMM route;
 //   conv2d      : im2col+GEMM (default) and the direct no-lowering kernel;
 //   depthwise   : the direct kernel (default).
-// The families carry a small schedule axis: the device::parallel_for grain
-// (library default / always-parallel / force-serial), pruned to the default
-// alone when the pool has one thread. The dsx::simd backend registers one
-// vectorized candidate per ISA level the host offers ("simd_sse2",
-// "simd_avx2") into every family through the factory hooks below.
+// Each variant appears once: how a launch runs (inline or across the pool)
+// is decided by declared cost in device/launch.hpp, not by the tuner. The
+// dsx::simd backend registers one vectorized candidate per ISA level the
+// host offers ("simd_sse2", "simd_avx2") through the factory hooks below -
+// for SCC only the levels above SSE2, since the SSE2 tile is the default.
 //
 // Every candidate honours the problem's `fuse_relu` epilogue, which is
 // bit-identical to running relu_forward on its unfused output, so one
@@ -79,41 +80,26 @@ struct DepthwiseProblem {
   bool fuse_relu = false;  // apply relu_value in the final store
 };
 
-/// Grain axis value meaning "leave device::kDefaultGrain alone".
-inline constexpr int64_t kGrainDefault = 0;
-
 struct SCCCandidate {
-  std::string variant;  // "fused", "fused_nocc", "gemm", "simd_avx2", ...
-  int64_t grain = kGrainDefault;  // device grain override; 0 = default
-  int64_t scratch_floats = 0;     // extra arena draw (tie-break axis)
+  std::string variant;        // "fused", "fused_nocc", "gemm", "simd_avx2"
+  int64_t scratch_floats = 0;  // extra arena draw (tie-break axis)
   Fidelity fidelity = Fidelity::kBitExact;
-  std::function<void(const SCCProblem&)> run;  // installs the grain itself
-
-  std::string label() const;  // "fused@g=default" / "gemm@g=serial" ...
+  std::function<void(const SCCProblem&)> run;
 };
 
 struct ConvCandidate {
   std::string variant;  // "im2col", "direct", "simd_avx2", ...
-  int64_t grain = kGrainDefault;
   int64_t scratch_floats = 0;
   Fidelity fidelity = Fidelity::kBitExact;
   std::function<void(const ConvProblem&)> run;
-
-  std::string label() const;
 };
 
 struct DepthwiseCandidate {
   std::string variant;  // "direct", "simd_sse2", ...
-  int64_t grain = kGrainDefault;
   int64_t scratch_floats = 0;
   Fidelity fidelity = Fidelity::kBitExact;
   std::function<void(const DepthwiseProblem&)> run;
-
-  std::string label() const;
 };
-
-/// Human-readable grain axis value ("default", "serial", or the number).
-std::string grain_name(int64_t grain);
 
 class KernelRegistry {
  public:
@@ -131,20 +117,18 @@ class KernelRegistry {
   std::vector<DepthwiseCandidate> depthwise_forward(
       const ProblemKey& key, bool allow_ulp_bounded = false) const;
 
-  /// Candidate with the given variant/grain, or nullopt when the registry
+  /// Candidate with the given variant, or nullopt when the registry
   /// no longer offers it (a cache record from an older build, a simd record
   /// from a wider host, or a kUlpBounded record while fast-math is off -
   /// the caller falls back to the default implementation in every case).
   std::optional<SCCCandidate> find_scc(const ProblemKey& key,
                                        const std::string& variant,
-                                       int64_t grain,
                                        bool allow_ulp_bounded = false) const;
   std::optional<ConvCandidate> find_conv(const ProblemKey& key,
                                          const std::string& variant,
-                                         int64_t grain,
                                          bool allow_ulp_bounded = false) const;
   std::optional<DepthwiseCandidate> find_depthwise(
-      const ProblemKey& key, const std::string& variant, int64_t grain,
+      const ProblemKey& key, const std::string& variant,
       bool allow_ulp_bounded = false) const;
 
   /// Extension point: a factory appends candidates for keys it understands.

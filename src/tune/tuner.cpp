@@ -96,7 +96,6 @@ TuningRecord make_record(const ProblemKey& key,
   TuningRecord rec;
   rec.key = key;
   rec.variant = timings[winner].variant;
-  rec.grain = timings[winner].grain;
   rec.fidelity = timings[winner].fidelity;
   rec.median_ns = timings[winner].median_ns;
   rec.default_ns = timings.front().median_ns;  // registry default comes first
@@ -119,7 +118,7 @@ TuneResult measure_and_select(const ProblemKey& key,
 
   TuneResult result;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    result.timings.push_back({candidates[i].variant, candidates[i].grain,
+    result.timings.push_back({candidates[i].variant,
                               candidates[i].scratch_floats,
                               candidates[i].fidelity, medians[i]});
   }

@@ -43,7 +43,6 @@ struct TunerOptions {
 /// One candidate's measurement (kept for reports and bench JSON).
 struct CandidateTiming {
   std::string variant;
-  int64_t grain = 0;
   int64_t scratch_floats = 0;
   Fidelity fidelity = Fidelity::kBitExact;
   double median_ns = 0.0;

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/check.hpp"
 #include "deploy/deploy.hpp"
 #include "models/mobilenet.hpp"
@@ -275,6 +276,45 @@ TEST(ModelStore, CompileWarmStartsFromStoredTuningCache) {
   // The stored artifact must remain byte-identical (compile never writes
   // back into the immutable version).
   EXPECT_NO_THROW(store.manifest("mnet", "v1"));
+}
+
+TEST(ModelStore, StaleTuningCacheFallsBackToColdCompile) {
+  ModelStore store(fresh_dir("store_stale_tune"));
+  const ArchSpec spec = tiny_spec(31);
+  const tune::TuningCache empty;
+  store.save_version("mnet", "v1", *build_architecture(spec), spec, &empty);
+
+  // Replace the stored tuning.bin with a file in the previous cache format
+  // (v2) and re-fingerprint it, as a version published by an older build
+  // looks: integrity intact, format stale. The tuning entry is the last
+  // thing in the manifest, so its size and checksum are the final 16 bytes.
+  const std::string tuning = store.tuning_cache_path("mnet", "v1");
+  {
+    std::ofstream os(tuning, std::ios::binary | std::ios::trunc);
+    os.write("DSXU", 4);
+    io::write_i64(os, 2);  // cache format version
+    io::write_i64(os, 0);  // no records
+  }
+  const fs::path manifest = fs::path(store.root()) / "mnet" / "v1" /
+                            "manifest.bin";
+  {
+    std::fstream os(manifest, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+    os.seekp(-16, std::ios::end);
+    io::write_i64(os, static_cast<int64_t>(fs::file_size(tuning)));
+    io::write_u64(os, fnv1a64_file(tuning));
+  }
+  ASSERT_TRUE(store.manifest("mnet", "v1").has_tuning_cache);
+
+  // The stale cache is ignored, not fatal: the compile runs cold in the
+  // caller's mode and serves the stored weights.
+  auto compiled =
+      store.compile("mnet", "v1", serve::CompileOptions{.max_batch = 2});
+  EXPECT_EQ(compiled->options().tuning, tune::Mode::kOff);
+  serve::CompiledModel reference(build_architecture(spec), spec.image_shape(),
+                                 serve::CompileOptions{.max_batch = 2});
+  const Tensor img = make_images(1, 37).front();
+  EXPECT_TRUE(bit_identical(compiled->run(img), reference.run(img)));
 }
 
 // ---- server hot-swap / unregister ------------------------------------------

@@ -399,27 +399,6 @@ TEST(Launch, BytesCountWhenTheyOutweighFlops) {
   EXPECT_EQ(log.chunks, 4);
 }
 
-TEST(Launch, GrainOverrideForcesEitherPath) {
-  ThreadPool pool(4);
-  PoolScope scope(pool);
-  {
-    GrainOverride always_parallel(1);
-    ChunkLog log;
-    launch_kernel_chunks_modeled("small", 64, 64, {kSmallFlops, 4.0},
-                                 log.body());
-    EXPECT_EQ(log.chunks, 4);
-  }
-  {
-    GrainOverride serial(kSerialGrain);
-    ChunkLog log;
-    launch_kernel_chunks_modeled("large", 64, 64, {kLargeFlops, 4.0},
-                                 log.body());
-    EXPECT_EQ(log.chunks, 1);
-    EXPECT_EQ(log.threads,
-              std::set<std::thread::id>{std::this_thread::get_id()});
-  }
-}
-
 // ---- DeviceGroup ---------------------------------------------------------------
 
 TEST(DeviceGroup, AllReduceMeanAveragesReplicas) {

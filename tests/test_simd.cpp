@@ -536,17 +536,15 @@ TEST(SimdTune, RegistryGatesUlpBoundedCandidatesBehindFastMath) {
 
   const auto strict = registry.scc_forward(key, /*allow_ulp_bounded=*/false);
   for (const auto& c : strict) {
-    EXPECT_EQ(c.fidelity, tune::Fidelity::kBitExact) << c.label();
+    EXPECT_EQ(c.fidelity, tune::Fidelity::kBitExact) << c.variant;
   }
   const auto fast = registry.scc_forward(key, /*allow_ulp_bounded=*/true);
   EXPECT_GE(fast.size(), strict.size());
 
-  if (simd::isa_available(simd::Isa::kSse2)) {
-    // The SSE2 SCC kernel is bit-exact, so it is admissible in strict mode.
-    bool has_sse2 = false;
-    for (const auto& c : strict) has_sse2 |= c.variant == "simd_sse2";
-    EXPECT_TRUE(has_sse2);
-  }
+  // The bit-exact SSE2 SCC kernel is the strict default ("fused"), not a
+  // separate candidate.
+  ASSERT_FALSE(strict.empty());
+  EXPECT_EQ(strict.front().variant, "fused");
   if (simd::isa_available(simd::Isa::kAvx2)) {
     bool strict_has_avx2 = false, fast_has_avx2 = false;
     for (const auto& c : strict) strict_has_avx2 |= c.variant == "simd_avx2";
@@ -556,12 +554,10 @@ TEST(SimdTune, RegistryGatesUlpBoundedCandidatesBehindFastMath) {
     EXPECT_TRUE(fast_has_avx2);
     // find_* applies the same gate.
     EXPECT_FALSE(registry
-                     .find_scc(key, "simd_avx2", tune::kGrainDefault,
-                               /*allow_ulp_bounded=*/false)
+                     .find_scc(key, "simd_avx2", /*allow_ulp_bounded=*/false)
                      .has_value());
     EXPECT_TRUE(registry
-                    .find_scc(key, "simd_avx2", tune::kGrainDefault,
-                              /*allow_ulp_bounded=*/true)
+                    .find_scc(key, "simd_avx2", /*allow_ulp_bounded=*/true)
                     .has_value());
   }
 
@@ -571,7 +567,7 @@ TEST(SimdTune, RegistryGatesUlpBoundedCandidatesBehindFastMath) {
   const tune::ProblemKey ckey =
       tune::make_conv2d_forward_key(in.shape(), w.shape(), args);
   for (const auto& c : registry.conv2d_forward(ckey, false)) {
-    EXPECT_TRUE(c.variant == "im2col" || c.variant == "direct") << c.label();
+    EXPECT_TRUE(c.variant == "im2col" || c.variant == "direct") << c.variant;
   }
 
   // The depthwise family exists with its default first.
@@ -599,7 +595,6 @@ TEST(SimdTune, CachedUlpRecordNeverAppliedToStrictSession) {
   rec.key = tune::make_depthwise_forward_key(in.shape(), w.shape(), args);
   rec.key.fast_math = true;
   rec.variant = "simd_avx2";
-  rec.grain = tune::kGrainDefault;
   rec.fidelity = tune::Fidelity::kUlpBounded;
   rec.median_ns = 1.0;
   rec.default_ns = 2.0;

@@ -12,13 +12,14 @@
 //     files, and lets a second compile warm-start without re-measuring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/binary_io.hpp"
 #include "core/scc_kernels.hpp"
-#include "device/parallel_for.hpp"
 #include "models/mobilenet.hpp"
 #include "nn/layers_basic.hpp"
 #include "nn/layers_conv.hpp"
@@ -58,7 +59,6 @@ tune::TuningRecord make_test_record(int64_t n) {
   rec.key.step = 8;
   rec.key.threads = 2;
   rec.variant = "fused";
-  rec.grain = device::kSerialGrain;
   rec.median_ns = 123.0;
   rec.default_ns = 456.0;
   rec.iters = 5;
@@ -85,42 +85,6 @@ TEST(TuneProblemKey, OrderingEqualityAndNames) {
   EXPECT_EQ(ck.kernel, 3);
   EXPECT_EQ(ck.groups, 2);
   EXPECT_NE(ck.to_string().find("conv2d_forward"), std::string::npos);
-}
-
-// ---- GrainOverride ------------------------------------------------------------
-
-TEST(TuneGrainOverride, AppliesToDefaultOnlyAndRestores) {
-  EXPECT_EQ(device::effective_grain(device::kDefaultGrain),
-            device::kDefaultGrain);
-  {
-    device::GrainOverride scope(64);
-    EXPECT_EQ(device::effective_grain(device::kDefaultGrain), 64);
-    // Call sites that chose an explicit grain keep it.
-    EXPECT_EQ(device::effective_grain(16), 16);
-    {
-      device::GrainOverride inner(device::kSerialGrain);
-      EXPECT_EQ(device::effective_grain(device::kDefaultGrain),
-                device::kSerialGrain);
-    }
-    EXPECT_EQ(device::effective_grain(device::kDefaultGrain), 64);
-  }
-  EXPECT_EQ(device::effective_grain(device::kDefaultGrain),
-            device::kDefaultGrain);
-
-  // A zero/negative grain installs nothing (tuning's "library default").
-  {
-    device::GrainOverride noop(0);
-    EXPECT_EQ(device::effective_grain(device::kDefaultGrain),
-              device::kDefaultGrain);
-  }
-
-  // Results are schedule-independent: a forced-serial loop matches.
-  std::vector<int64_t> out(4096, 0);
-  {
-    device::GrainOverride scope(device::kSerialGrain);
-    device::parallel_for(4096, [&](int64_t i) { out[i] = i * i; });
-  }
-  for (int64_t i = 0; i < 4096; ++i) ASSERT_EQ(out[i], i * i);
 }
 
 // ---- registry candidates are bit-identical ------------------------------------
@@ -157,7 +121,7 @@ TEST(TuneRegistry, SccCandidatesBitIdenticalPropertyStyle) {
       Tensor out(scc::scc_output_shape(in.shape(), map));
       cand.run({&in, &w, bias, &map, &ws, &out});
       EXPECT_TRUE(bit_identical(expect, out))
-          << cand.label() << " diverges on " << key.to_string();
+          << cand.variant << " diverges on " << key.to_string();
     }
   }
 }
@@ -204,7 +168,62 @@ TEST(TuneRegistry, ConvCandidatesBitIdenticalPropertyStyle) {
       Tensor out(conv2d_output_shape(in.shape(), w.shape(), args));
       cand.run({&in, &w, bias, &args, &ws, &out});
       EXPECT_TRUE(bit_identical(expect, out))
-          << cand.label() << " diverges on " << key.to_string();
+          << cand.variant << " diverges on " << key.to_string();
+    }
+  }
+}
+
+TEST(TuneRegistry, MenuHasNoDuplicateComputation) {
+  // Each candidate is distinct code: no variant is listed twice (once per
+  // schedule) and no kernel appears under a second name, so a tuning pass
+  // never times the same computation twice. Pool width does not shape the
+  // menu.
+  const Shape in = make_nchw(2, 16, 6, 6);
+  const scc::ChannelWindowMap map(scc::SCCConfig{16, 24, 4, 0.5, 1});
+  const Conv2dArgs conv_args{1, 1, 1};
+  const DepthwiseArgs dw_args{1, 1};
+  auto& registry = tune::KernelRegistry::global();
+
+  const auto names = [](const auto& candidates) {
+    std::vector<std::string> out;
+    for (const auto& c : candidates) out.push_back(c.variant);
+    return out;
+  };
+  const auto expect_unique = [](const std::vector<std::string>& variants,
+                                const std::string& default_variant,
+                                const std::string& what) {
+    ASSERT_FALSE(variants.empty()) << what;
+    EXPECT_EQ(variants.front(), default_variant) << what;
+    const std::set<std::string> unique(variants.begin(), variants.end());
+    EXPECT_EQ(unique.size(), variants.size()) << what;
+  };
+
+  for (const int64_t threads : {1, 4}) {
+    for (const bool fast : {false, true}) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               (fast ? " fast-math" : " strict");
+      tune::ProblemKey skey = tune::make_scc_forward_key(in, map);
+      tune::ProblemKey ckey = tune::make_conv2d_forward_key(
+          in, Shape{8, 16, 3, 3}, conv_args);
+      tune::ProblemKey dkey = tune::make_depthwise_forward_key(
+          in, Shape{16, 1, 3, 3}, dw_args);
+      for (tune::ProblemKey* k : {&skey, &ckey, &dkey}) {
+        k->threads = threads;
+        k->fast_math = fast;
+      }
+      const auto scc = names(registry.scc_forward(skey, fast));
+      expect_unique(scc, "fused", "scc " + what);
+      expect_unique(names(registry.conv2d_forward(ckey, fast)), "im2col",
+                    "conv2d " + what);
+      expect_unique(names(registry.depthwise_forward(dkey, fast)), "direct",
+                    "depthwise " + what);
+      // The SSE2 SCC tile is "fused" itself, never a second candidate.
+      EXPECT_EQ(std::count(scc.begin(), scc.end(), "simd_sse2"), 0) << what;
+      if (!fast) {
+        EXPECT_EQ(scc, (std::vector<std::string>{"fused", "fused_nocc",
+                                                 "gemm"}))
+            << what;
+      }
     }
   }
 }
@@ -226,7 +245,6 @@ TEST(TuneCache, RoundTripsThroughDisk) {
   const auto rec = loaded.find(make_test_record(2).key);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->variant, "fused");
-  EXPECT_EQ(rec->grain, device::kSerialGrain);
   EXPECT_DOUBLE_EQ(rec->median_ns, 123.0);
   EXPECT_DOUBLE_EQ(rec->default_ns, 456.0);
   EXPECT_EQ(rec->iters, 5);
@@ -282,15 +300,14 @@ TEST(TuneCache, RejectsVersionMismatchAndBadMagic) {
   }
 }
 
-TEST(TuneCache, RejectsV1FormatFileWithoutFidelity) {
-  // A faithful v1 file: same record layout as today's minus the fidelity
-  // field (v1 predates tune::Fidelity). The version check must reject it
-  // up front - a fidelity-less record silently parsed under the v2 layout
-  // would misread median_ns bytes as the fidelity and corrupt dispatch.
+/// A one-record cache file in an older on-disk layout, byte for byte. v1
+/// keys had no fast_math flag and v1 records no fidelity; v2 added both.
+/// Both carried a grain slot after the variant, which v3 dropped.
+std::string legacy_cache_file(int64_t version) {
   std::ostringstream os(std::ios::binary);
   const char magic[4] = {'D', 'S', 'X', 'U'};
   os.write(magic, 4);
-  io::write_i64(os, 1);  // kVersion was 1 before fidelity existed
+  io::write_i64(os, version);
   io::write_i64(os, 1);  // one record
   const tune::TuningRecord rec = make_test_record(1);
   io::write_i64(os, static_cast<int64_t>(rec.key.op));
@@ -301,27 +318,44 @@ TEST(TuneCache, RejectsV1FormatFileWithoutFidelity) {
     io::write_i64(os, v);
   }
   io::write_i64(os, static_cast<int64_t>(rec.key.dtype));
+  if (version >= 2) io::write_i64(os, rec.key.fast_math ? 1 : 0);
   io::write_str(os, rec.variant);
-  io::write_i64(os, rec.grain);
+  io::write_i64(os, 0);  // grain slot (0 = library default)
+  if (version >= 2) io::write_i64(os, static_cast<int64_t>(rec.fidelity));
   io::write_f64(os, rec.median_ns);
   io::write_f64(os, rec.default_ns);
   io::write_i64(os, rec.iters);
+  return os.str();
+}
 
-  std::istringstream is(os.str(), std::ios::binary);
+/// The version check must reject a stale layout up front, with a message
+/// that says what to do, and apply nothing: a stale record never half-loads.
+void expect_rejected_as_stale(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
   tune::TuningCache fresh;
   EXPECT_THROW(
       {
         try {
           fresh.load(is);
         } catch (const Error& e) {
-          // The error must say what to do, not just fail.
           EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
           throw;
         }
       },
       Error);
-  // Nothing was applied: a stale record never half-loads.
   EXPECT_EQ(fresh.size(), 0);
+}
+
+TEST(TuneCache, RejectsV1FormatFileWithoutFidelity) {
+  // A fidelity-less v1 record parsed under a later layout would misread
+  // median_ns bytes as the fidelity and corrupt dispatch.
+  expect_rejected_as_stale(legacy_cache_file(1));
+}
+
+TEST(TuneCache, RejectsV2FormatFileWithGrain) {
+  // A v2 record parsed under the v3 layout would read its grain slot as
+  // the fidelity and shift every later field by eight bytes.
+  expect_rejected_as_stale(legacy_cache_file(2));
 }
 
 // ---- dispatch -----------------------------------------------------------------
@@ -358,7 +392,6 @@ TEST(TuneDispatch, CachedModeBakesRecordWithoutMeasuring) {
   tune::TuningRecord rec;
   rec.key = tune::make_scc_forward_key(in.shape(), map);
   rec.variant = "fused_nocc";
-  rec.grain = tune::kGrainDefault;
   rec.median_ns = 1.0;
   rec.default_ns = 2.0;
   rec.iters = 1;
@@ -506,7 +539,7 @@ TEST(TuneTuner, RecordsDefaultTimeAndPicksARegisteredCandidate) {
   EXPECT_GT(result.record.median_ns, 0.0);
   EXPECT_GT(result.record.default_ns, 0.0);
   EXPECT_TRUE(tune::KernelRegistry::global()
-                  .find_scc(key, result.record.variant, result.record.grain)
+                  .find_scc(key, result.record.variant)
                   .has_value());
   // The winner is never slower than the measured default.
   EXPECT_LE(result.record.median_ns, result.record.default_ns * 1.0001);
