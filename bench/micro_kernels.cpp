@@ -4,9 +4,10 @@
 //
 // `--json` switches to the dsx::tune harness instead: it measures every
 // registered kernel candidate on a shape sweep (including the dsx::simd
-// vectorized candidates, admitted via fast-math), compiles a tuned vs
-// untuned serving plan, asserts the tuned plan is never slower
-// (SHAPE-CHECK), and writes machine-readable BENCH_micro_kernels.json
+// vectorized candidates, admitted via fast-math; depthwise rows also carry
+// GFLOP/s), compiles a tuned vs untuned serving plan, asserts the tuned plan
+// is never slower by the median of per-round paired ratios (SHAPE-CHECK),
+// and writes machine-readable BENCH_micro_kernels.json
 // (per-candidate timings) plus BENCH_tune.json (per-problem winners and the
 // plan comparison) plus BENCH_simd_gemm.json (packed-GEMM GFLOP/s scalar vs
 // sse2 vs avx2, and the fast-math tuned-plan end-to-end; SHAPE-CHECKs the
@@ -25,6 +26,7 @@
 #include "device/thread_pool.hpp"
 #include "nn/layers_basic.hpp"
 #include "ops/conv2d.hpp"
+#include "ops/depthwise.hpp"
 #include "ops/gemm.hpp"
 #include "ops/shift.hpp"
 #include "ops/shuffle.hpp"
@@ -199,6 +201,11 @@ struct ConvShape {
   int64_t batch, cin, cout, spatial, k, pad;
 };
 
+struct DwShape {
+  const char* tag;
+  int64_t batch, c, spatial, k, stride, pad;
+};
+
 std::string json_scc_timing(const SccShape& s, const tune::CandidateTiming& t) {
   std::ostringstream os;
   os << "{\"op\":\"scc_forward\",\"shape\":\"" << s.tag << "\",\"n\":" << s.batch
@@ -221,6 +228,18 @@ std::string json_conv_timing(const ConvShape& s,
   return os.str();
 }
 
+std::string json_dw_timing(const DwShape& s, const tune::CandidateTiming& t,
+                           double flops) {
+  std::ostringstream os;
+  os << "{\"op\":\"depthwise_forward\",\"shape\":\"" << s.tag
+     << "\",\"n\":" << s.batch << ",\"c\":" << s.c << ",\"hw\":" << s.spatial
+     << ",\"k\":" << s.k << ",\"stride\":" << s.stride << ",\"variant\":\""
+     << t.variant << "\",\"fidelity\":\"" << tune::fidelity_name(t.fidelity)
+     << "\",\"median_ns\":" << bench::fmt(t.median_ns, 0)
+     << ",\"gflops\":" << bench::fmt(flops / t.median_ns, 2) << "}";
+  return os.str();
+}
+
 std::string json_winner(const char* op, const char* tag,
                         const tune::TuningRecord& rec) {
   std::ostringstream os;
@@ -233,26 +252,51 @@ std::string json_winner(const char* op, const char* tag,
   return os.str();
 }
 
-/// Interleaved A-vs-B plan timing, same reasoning as the Tuner: one run of
-/// each per round so scheduler bursts land on both plans instead of biasing
-/// whichever was measured second. Returns {median_a_ms, median_b_ms}.
-std::pair<double, double> time_plans_interleaved(serve::CompiledModel& a,
-                                                 serve::CompiledModel& b,
-                                                 const Tensor& batch_in,
-                                                 int rounds = 15) {
-  std::vector<double> ta, tb;
-  for (int it = 0; it < rounds; ++it) {
+/// Paired A-vs-B plan timing. Each round runs both plans back to back, in
+/// alternating order, and records the ratio b/a of that round, so a
+/// scheduler burst lands inside one pair instead of biasing one plan's
+/// median. The gate reads the median ratio; its quartiles show the spread.
+struct PlanComparison {
+  double a_ms = 0.0, b_ms = 0.0;  // per-plan medians
+  double ratio = 0.0;             // median over rounds of b / a
+  double ratio_q1 = 0.0, ratio_q3 = 0.0;
+};
+
+PlanComparison time_plans_interleaved(serve::CompiledModel& a,
+                                      serve::CompiledModel& b,
+                                      const Tensor& batch_in,
+                                      int rounds = 41) {
+  const auto time_run = [&batch_in](serve::CompiledModel& m) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)a.run(batch_in);
-    const auto t1 = std::chrono::steady_clock::now();
-    (void)b.run(batch_in);
-    const auto t2 = std::chrono::steady_clock::now();
-    ta.push_back(std::chrono::duration<double>(t1 - t0).count());
-    tb.push_back(std::chrono::duration<double>(t2 - t1).count());
+    (void)m.run(batch_in);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> ta, tb, ratios;
+  for (int it = 0; it < rounds; ++it) {
+    double da, db;
+    if (it % 2 == 0) {
+      da = time_run(a);
+      db = time_run(b);
+    } else {
+      db = time_run(b);
+      da = time_run(a);
+    }
+    ta.push_back(da);
+    tb.push_back(db);
+    ratios.push_back(db / da);
   }
-  std::sort(ta.begin(), ta.end());
-  std::sort(tb.begin(), tb.end());
-  return {ta[ta.size() / 2] * 1e3, tb[tb.size() / 2] * 1e3};
+  const auto quantile = [](std::vector<double>& v, size_t num, size_t den) {
+    std::sort(v.begin(), v.end());
+    return v[(v.size() - 1) * num / den];
+  };
+  PlanComparison c;
+  c.a_ms = quantile(ta, 1, 2) * 1e3;
+  c.b_ms = quantile(tb, 1, 2) * 1e3;
+  c.ratio = quantile(ratios, 1, 2);
+  c.ratio_q1 = quantile(ratios, 1, 4);
+  c.ratio_q3 = quantile(ratios, 3, 4);
+  return c;
 }
 
 /// Prints a compiled plan's per-layer winners and emits one `kind` JSON
@@ -378,6 +422,37 @@ int run() {
                 result.record.default_ns / result.record.median_ns);
   }
 
+  // The depthwise layers of a b8 run of the x1.0 32x32 MobileNet-SCC
+  // (3x3, pad 1): the 32x32 stem-side layers, the first downsampling layer,
+  // and the deep 4x4 / 2x2 planes narrower than a vector row.
+  const std::vector<DwShape> dw_shapes = {
+      {"b8_c32_s32_k3", 8, 32, 32, 3, 1, 1},
+      {"b8_c64_s32_k3_stride2", 8, 64, 32, 3, 2, 1},
+      {"b8_c128_s16_k3", 8, 128, 16, 3, 1, 1},
+      {"b8_c512_s4_k3", 8, 512, 4, 3, 1, 1},
+      {"b8_c1024_s2_k3", 8, 1024, 2, 3, 1, 1},
+  };
+  for (const DwShape& s : dw_shapes) {
+    const DepthwiseArgs args{s.stride, s.pad};
+    const Tensor in =
+        random_uniform(make_nchw(s.batch, s.c, s.spatial, s.spatial), rng);
+    const Tensor w = random_uniform(Shape{s.c, 1, s.k, s.k}, rng);
+    const Tensor b = random_uniform(Shape{s.c}, rng);
+    const Shape out = depthwise_output_shape(in.shape(), w.shape(), args);
+    const double flops = 2.0 * static_cast<double>(s.k * s.k * out.numel());
+    const tune::ProblemKey key =
+        tune::make_depthwise_forward_key(in.shape(), w.shape(), args);
+    const tune::TuneResult result = tuner.tune_depthwise(key, in, w, &b, args);
+    std::printf("  dw   %-20s", s.tag);
+    for (const tune::CandidateTiming& t : result.timings) {
+      kernels.add(json_dw_timing(s, t, flops));
+      std::printf(" | %s %.0f ns %.2f GFLOP/s", t.variant.c_str(), t.median_ns,
+                  flops / t.median_ns);
+    }
+    std::printf("\n");
+    tuned_report.add(json_winner("depthwise_forward", s.tag, result.record));
+  }
+
   // ---- packed GEMM GFLOP/s: scalar baseline vs simd ISA levels -------------
   std::printf("\npacked GEMM (dsx::simd) vs scalar dsx::gemm, host ISA %s:\n",
               simd::isa_name(simd::detect_isa()));
@@ -457,19 +532,23 @@ int run() {
   const Tensor out_untuned = untuned.run(batch_in);
   const Tensor out_tuned = tuned.run(batch_in);
 
-  const auto [untuned_ms, tuned_ms] =
-      time_plans_interleaved(untuned, tuned, batch_in);
-  std::printf("\ncompiled plan, batch %lld: untuned %.3f ms, tuned %.3f ms "
-              "(%.2fx); per-layer winners:\n",
-              static_cast<long long>(batch), untuned_ms, tuned_ms,
-              untuned_ms / tuned_ms);
+  const PlanComparison plan = time_plans_interleaved(untuned, tuned, batch_in);
+  const double untuned_ms = plan.a_ms, tuned_ms = plan.b_ms;
+  std::printf("\ncompiled plan, batch %lld: untuned %.3f ms, tuned %.3f ms; "
+              "tuned/untuned paired ratio %.3f (IQR %.3f, q1 %.3f q3 %.3f); "
+              "per-layer winners:\n",
+              static_cast<long long>(batch), untuned_ms, tuned_ms, plan.ratio,
+              plan.ratio_q3 - plan.ratio_q1, plan.ratio_q1, plan.ratio_q3);
   report_plan_layers(tuned, "plan_layer", tuned_report, &scc_non_default_win);
   {
     std::ostringstream os;
     os << "{\"kind\":\"compiled_plan\",\"batch\":" << batch
        << ",\"untuned_ms\":" << bench::fmt(untuned_ms, 3)
        << ",\"tuned_ms\":" << bench::fmt(tuned_ms, 3)
-       << ",\"speedup\":" << bench::fmt(untuned_ms / tuned_ms, 3) << "}";
+       << ",\"speedup\":" << bench::fmt(untuned_ms / tuned_ms, 3)
+       << ",\"tuned_over_untuned\":" << bench::fmt(plan.ratio, 3)
+       << ",\"ratio_iqr\":" << bench::fmt(plan.ratio_q3 - plan.ratio_q1, 3)
+       << "}";
     tuned_report.add(os.str());
   }
 
@@ -482,19 +561,24 @@ int run() {
        .tuner = {.warmup = 2, .iters = 9, .time_epsilon = 0.10},
        .allow_fast_math = true});
   const Tensor out_fast = fast_plan.run(batch_in);
-  const auto [base_ms, fast_ms] =
+  const PlanComparison fast =
       time_plans_interleaved(untuned, fast_plan, batch_in);
+  const double base_ms = fast.a_ms, fast_ms = fast.b_ms;
   std::printf("\nfast-math plan, batch %lld: untuned %.3f ms, fast-math tuned "
-              "%.3f ms (%.2fx); per-layer winners:\n",
-              static_cast<long long>(batch), base_ms, fast_ms,
-              base_ms / fast_ms);
+              "%.3f ms; fast/untuned paired ratio %.3f (IQR %.3f, q1 %.3f q3 "
+              "%.3f); per-layer winners:\n",
+              static_cast<long long>(batch), base_ms, fast_ms, fast.ratio,
+              fast.ratio_q3 - fast.ratio_q1, fast.ratio_q1, fast.ratio_q3);
   report_plan_layers(fast_plan, "fastmath_plan_layer", simd_report, nullptr);
   {
     std::ostringstream os;
     os << "{\"kind\":\"fastmath_plan\",\"batch\":" << batch
        << ",\"untuned_ms\":" << bench::fmt(base_ms, 3)
        << ",\"fastmath_ms\":" << bench::fmt(fast_ms, 3)
-       << ",\"speedup\":" << bench::fmt(base_ms / fast_ms, 3) << "}";
+       << ",\"speedup\":" << bench::fmt(base_ms / fast_ms, 3)
+       << ",\"fastmath_over_untuned\":" << bench::fmt(fast.ratio, 3)
+       << ",\"ratio_iqr\":" << bench::fmt(fast.ratio_q3 - fast.ratio_q1, 3)
+       << "}";
     simd_report.add(os.str());
   }
 
@@ -513,12 +597,13 @@ int run() {
          ok;
   }
   {
-    char claim[160];
+    char claim[192];
     std::snprintf(claim, sizeof(claim),
                   "tuned plan is never slower than the untuned default "
-                  "(%.3f ms vs %.3f ms, 10%% noise margin)",
-                  tuned_ms, untuned_ms);
-    ok = bench::shape_check(claim, tuned_ms <= untuned_ms * 1.10) && ok;
+                  "(median paired ratio %.3f over 41 rounds, IQR %.3f, 10%% "
+                  "noise margin)",
+                  plan.ratio, plan.ratio_q3 - plan.ratio_q1);
+    ok = bench::shape_check(claim, plan.ratio <= 1.10) && ok;
   }
   ok = bench::shape_check(
            "at least one SCC problem selects a non-default variant with "
@@ -551,12 +636,13 @@ int run() {
          ok;
   }
   {
-    char claim[160];
+    char claim[192];
     std::snprintf(claim, sizeof(claim),
                   "fast-math tuned plan is never slower than the untuned "
-                  "default (%.3f ms vs %.3f ms, 10%% noise margin)",
-                  fast_ms, base_ms);
-    ok = bench::shape_check(claim, fast_ms <= base_ms * 1.10) && ok;
+                  "default (median paired ratio %.3f over 41 rounds, IQR "
+                  "%.3f, 10%% noise margin)",
+                  fast.ratio, fast.ratio_q3 - fast.ratio_q1);
+    ok = bench::shape_check(claim, fast.ratio <= 1.10) && ok;
   }
   return ok ? 0 : 1;
 }

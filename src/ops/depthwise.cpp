@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
-#include "ops/activations.hpp"
+#include "simd/kernels.hpp"
 
 namespace dsx {
 
@@ -57,36 +57,27 @@ void depthwise_forward_into(const Tensor& input, const Tensor& weight,
   }
   DSX_REQUIRE(out.shape() == make_nchw(d.N, d.C, d.Ho, d.Wo),
               "depthwise: out shape " << out.shape().to_string());
-  const int64_t planeo = d.Ho * d.Wo;
-  const int64_t plane = d.H * d.W;
-  const double flops = 2.0 * static_cast<double>(d.K * d.K);
 
-  device::launch_kernel_chunks_modeled(
-      "dw_forward", d.N * d.C, d.N * d.C * planeo,
-      {flops, 4.0 * (d.K * d.K + 2.0)}, [&](int64_t b, int64_t e) {
-        for (int64_t nc = b; nc < e; ++nc) {
-          const int64_t c = nc % d.C;
-          const float* in_p = input.data() + nc * plane;
-          const float* w = weight.data() + c * d.K * d.K;
-          const float bv = bias != nullptr ? bias->data()[c] : 0.0f;
-          float* out_p = out.data() + nc * planeo;
-          for (int64_t y = 0; y < d.Ho; ++y) {
-            for (int64_t x = 0; x < d.Wo; ++x) {
-              float acc = bv;
-              for (int64_t ky = 0; ky < d.K; ++ky) {
-                const int64_t iy = y * args.stride + ky - args.pad;
-                if (iy < 0 || iy >= d.H) continue;
-                for (int64_t kx = 0; kx < d.K; ++kx) {
-                  const int64_t ix = x * args.stride + kx - args.pad;
-                  if (ix < 0 || ix >= d.W) continue;
-                  acc += w[ky * d.K + kx] * in_p[iy * d.W + ix];
-                }
-              }
-              out_p[y * d.Wo + x] = fuse_relu ? relu_value(acc) : acc;
-            }
-          }
-        }
-      });
+  // The register-tiled forward of dsx::simd's SSE2 table (the x86-64
+  // baseline, so no dispatch; below FMA level the tile keeps the
+  // bounds-checked scalar per-element op sequence).
+  simd::DwCall call;
+  call.name = "dw_forward";
+  call.input = input.data();
+  call.weight = weight.data();
+  call.bias = bias != nullptr ? bias->data() : nullptr;
+  call.N = d.N;
+  call.C = d.C;
+  call.H = d.H;
+  call.W = d.W;
+  call.K = d.K;
+  call.Ho = d.Ho;
+  call.Wo = d.Wo;
+  call.stride = args.stride;
+  call.pad = args.pad;
+  call.out = out.data();
+  call.relu = fuse_relu;
+  simd::sse2::table().depthwise_forward(call);
 }
 
 DepthwiseGrads depthwise_backward(const Tensor& input, const Tensor& weight,

@@ -3,7 +3,8 @@
 // Direct kernels, no lowering: one GPU-model thread per output pixel in the
 // forward pass, one per input pixel / per weight tap in the backward pass
 // (both race-free, mirroring the paper's description of DW as the cheap,
-// per-channel spatial stage).
+// per-channel spatial stage). The forward runs dsx::simd's SSE2 register
+// tile (simd/depthwise.hpp), bit-identical to a bounds-checked scalar loop.
 //
 // Weight layout: [C, 1, K, K]; bias optional [C].
 #pragma once

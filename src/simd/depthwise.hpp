@@ -1,11 +1,13 @@
-// Vectorized depthwise forward (dsx::simd).
+// Vectorized depthwise forward (dsx::simd), at a chosen ISA level.
 //
-// Same geometry contract as dsx::depthwise_forward_into. Stride-1 output
-// rows are computed tap-by-tap over the valid column interval of each
-// (ky, kx) tap - per element that is exactly the scalar kernel's bounds-
-// checked accumulation order, so the SSE2 level is BIT-identical
-// (tune::Fidelity::kBitExact) and the AVX2+FMA level is ULP-bounded.
-// `fuse_relu` applies the bias+ReLU epilogue before the final store.
+// Same geometry contract as dsx::depthwise_forward_into, which runs this
+// register tile's SSE2 level itself. The tile vectorizes over channels and
+// keeps a strip of output pixels' accumulators in registers: bias, then one
+// mul and one add per in-bounds tap in ascending (ky, kx), padded taps
+// skipped. That is the bounds-checked scalar op sequence per element, so the
+// scalar and SSE2 levels are BIT-identical (tune::Fidelity::kBitExact) and
+// the AVX2+FMA level is ULP-bounded (the only level the tune registry adds
+// as a candidate). `fuse_relu` applies relu_value before the single store.
 #pragma once
 
 #include "ops/depthwise.hpp"

@@ -12,8 +12,8 @@
 //                   tests and tools.
 //
 // tune::KernelRegistry enumerates one candidate per level <= active_isa()
-// (variants "simd_sse2", "simd_avx2"; SCC starts at AVX2, its SSE2 tile
-// being the default kernel), so tuning records name the exact ISA
+// (variants "simd_sse2", "simd_avx2"; SCC and depthwise start at AVX2, their
+// SSE2 tiles being the default kernels), so tuning records name the exact ISA
 // they were measured on and a record from a wider host degrades to the
 // default kernel instead of executing unsupported instructions.
 #pragma once

@@ -69,8 +69,11 @@ struct SccCall {
 };
 
 /// Depthwise KxK forward with optional fused bias+ReLU epilogue; mirrors
-/// dsx::depthwise_forward_into's geometry.
+/// dsx::depthwise_forward_into's geometry. The CPU execution item is one
+/// image x a block of vector-width consecutive channels (the lanes); the
+/// launch still records one GPU-model thread per output pixel.
 struct DwCall {
+  const char* name = "simd_dw_forward";  // launch record name
   const float* input = nullptr;   // [N, C, H, W]
   const float* weight = nullptr;  // [C, 1, K, K]
   const float* bias = nullptr;    // optional [C]

@@ -72,17 +72,17 @@ void register_simd_kernels(tune::KernelRegistry& registry) {
         }
       });
 
-  // depthwise forward: SSE2 keeps the scalar kernel's per-element op
-  // sequence (kBitExact, admissible in strict mode) but is different code
-  // from the scalar default; AVX2 uses FMA (kUlpBounded).
+  // depthwise forward: the SSE2 tile is the registry's default "direct"
+  // kernel (depthwise_forward_into runs it), so, as for SCC, only the FMA
+  // levels above it add a candidate (kUlpBounded).
   registry.register_depthwise_factory(
       [](const tune::ProblemKey&,
          std::vector<tune::DepthwiseCandidate>& out) {
         for (const Isa isa : candidate_levels()) {
+          if (isa == Isa::kSse2) continue;
           tune::DepthwiseCandidate cand;
           cand.variant = variant_name(isa);
-          cand.fidelity = isa == Isa::kSse2 ? tune::Fidelity::kBitExact
-                                            : tune::Fidelity::kUlpBounded;
+          cand.fidelity = tune::Fidelity::kUlpBounded;
           cand.run = [isa](const tune::DepthwiseProblem& p) {
             depthwise_forward_into(*p.input, *p.weight, p.bias, *p.args,
                                    *p.out, p.fuse_relu, isa);

@@ -2,18 +2,17 @@
 //
 // Called once by the KernelRegistry constructor, after the built-in
 // candidates: the simd factories append one candidate per ISA level in
-// (active_isa() clamped to the host, levels above scalar) to the conv2d and
-// depthwise forward families, and per level above SSE2 to SCC forward (the
-// SSE2 SCC tile is the built-in "fused" default, so listing it again would
-// time one kernel twice). Variants are named by level ("simd_sse2",
-// "simd_avx2") so tuning-cache records pin the exact ISA they were measured
-// on - a record replayed on a narrower host simply fails the registry
-// lookup and degrades to the default kernel.
+// (active_isa() clamped to the host, levels above scalar) to the conv2d
+// forward family, and per level above SSE2 to SCC and depthwise forward
+// (their SSE2 tiles are the built-in "fused" and "direct" defaults, so
+// listing them again would time one kernel twice). Variants are named by
+// level ("simd_sse2", "simd_avx2") so tuning-cache records pin the exact ISA
+// they were measured on - a record replayed on a narrower host simply fails
+// the registry lookup and degrades to the default kernel.
 //
-// Fidelity per tune contract: depthwise at SSE2 level is kBitExact (mul+add
-// per lane in the scalar accumulation order); everything on the FMA path,
-// and every packed-GEMM route, is kUlpBounded and therefore only enumerable
-// under fast-math.
+// Fidelity per tune contract: everything on the FMA path, and every
+// packed-GEMM route, is kUlpBounded and therefore only enumerable under
+// fast-math.
 #pragma once
 
 namespace dsx::tune {

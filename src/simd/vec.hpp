@@ -102,6 +102,35 @@ inline void vstore_partial(float* p, Vec a, int64_t n) {
   _mm256_maskstore_ps(p, tail_mask(n), a.v);
 }
 
+/// Transposes the kWidth x kWidth lane matrix held in r[0..kWidth): lane p of
+/// r[l] becomes lane l of r[p]. Pure data movement, no arithmetic.
+inline void vtranspose(Vec* r) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0].v, r[1].v);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0].v, r[1].v);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2].v, r[3].v);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2].v, r[3].v);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4].v, r[5].v);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4].v, r[5].v);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6].v, r[7].v);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6].v, r[7].v);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0].v = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1].v = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2].v = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3].v = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4].v = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5].v = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6].v = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7].v = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
 #elif DSX_SIMD_COMPILED_LEVEL == 1
 
 inline constexpr int kWidth = 4;
@@ -139,6 +168,11 @@ inline void vstore_partial(float* p, Vec a, int64_t n) {
   for (int64_t i = 0; i < n; ++i) p[i] = tmp[i];
 }
 
+/// Transposes the 4 x 4 lane matrix held in r[0..4) (see the AVX2 level).
+inline void vtranspose(Vec* r) {
+  _MM_TRANSPOSE4_PS(r[0].v, r[1].v, r[2].v, r[3].v);
+}
+
 #else  // scalar fallback
 
 inline constexpr int kWidth = 1;
@@ -162,6 +196,9 @@ inline Vec vload_partial(const float* p, int64_t n) {
 inline void vstore_partial(float* p, Vec a, int64_t n) {
   if (n >= 1) vstore(p, a);
 }
+
+/// A one-lane matrix is its own transpose.
+inline void vtranspose(Vec*) {}
 
 #endif
 

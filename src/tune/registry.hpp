@@ -11,12 +11,14 @@
 //                 register tile), the cycle-table-off ablation, and the
 //                 im2col-style per-filter GEMM route;
 //   conv2d      : im2col+GEMM (default) and the direct no-lowering kernel;
-//   depthwise   : the direct kernel (default).
+//   depthwise   : the direct kernel (default; the dsx::simd SSE2 register
+//                 tile).
 // Each variant appears once: how a launch runs (inline or across the pool)
 // is decided by declared cost in device/launch.hpp, not by the tuner. The
 // dsx::simd backend registers one vectorized candidate per ISA level the
 // host offers ("simd_sse2", "simd_avx2") through the factory hooks below -
-// for SCC only the levels above SSE2, since the SSE2 tile is the default.
+// for SCC and depthwise only the levels above SSE2, since their SSE2 tiles
+// are the defaults.
 //
 // Every candidate honours the problem's `fuse_relu` epilogue, which is
 // bit-identical to running relu_forward on its unfused output, so one

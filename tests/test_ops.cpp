@@ -1,13 +1,19 @@
 // Unit + property tests for src/ops: GEMM against a naive reference,
 // im2col/col2im adjointness, convolution forward against direct references,
+// the depthwise forward routes byte for byte against a float reference,
 // backward passes against central-difference numerical gradients, pooling,
 // batch-norm, activations, linear and softmax/cross-entropy.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/check.hpp"
+#include "device/launch.hpp"
 #include "ops/activations.hpp"
 #include "ops/batchnorm.hpp"
 #include "ops/conv2d.hpp"
@@ -17,6 +23,10 @@
 #include "ops/linear.hpp"
 #include "ops/pooling.hpp"
 #include "ops/softmax_xent.hpp"
+#include "simd/depthwise.hpp"
+#include "tensor/workspace.hpp"
+#include "tune/dispatch.hpp"
+#include "tune/tune.hpp"
 #include "testing_utils.hpp"
 
 namespace dsx {
@@ -300,6 +310,184 @@ TEST(Depthwise, RejectsBadWeightShape) {
   EXPECT_THROW(depthwise_forward(in, w, nullptr, {}), Error);
   Tensor w2(Shape{4, 1, 3, 3});
   EXPECT_THROW(depthwise_forward(in, w2, nullptr, {}), Error);
+}
+
+// ---- depthwise: bit-identity against the float reference ----------------------
+//
+// The kOff contract: every bit-exact depthwise forward computes, per output
+// element, bias + w*x per in-bounds tap in ascending (ky, kx), padded taps
+// skipped, one float mul and one float add per tap. Compared byte for byte
+// (memcmp) with float_dw_reference, never with another library kernel. The
+// sweep hits the register tile's edges: channel counts that leave a partial
+// channel block, planes below one vector (1x1, 2x2, 3x3), strips that cross
+// output rows, border-only planes, stride 2 and 3, pad 0 to 2, K = 3 and 5,
+// odd widths, no bias, -0.0 bias with NaN input under the fused ReLU, and an
+// infinite corner tap (w*0 for that padded tap would be NaN).
+
+enum class DwData {
+  kRandom,
+  kSignedZeroNaN,  // -0.0 bias, +0.0 input with NaNs, negative weights
+  kInfCornerTap,   // positive data, tap (0, 0) of every channel is +Inf
+};
+
+struct DwRefCase {
+  int64_t N, C, H, W, K, stride, pad;
+  bool bias;
+  DwData data;
+};
+
+class DwFloatReference : public ::testing::TestWithParam<DwRefCase> {};
+
+/// Every bit-exact forward route under test, as `run(out, fuse_relu)`.
+struct DwRoute {
+  std::string name;
+  std::function<void(Tensor&, bool)> run;
+};
+
+TEST_P(DwFloatReference, BitExactRoutesMatchByMemcmp) {
+  const DwRefCase p = GetParam();
+  const DepthwiseArgs args{p.stride, p.pad};
+  Rng rng(241);
+  Tensor in = random_uniform(make_nchw(p.N, p.C, p.H, p.W), rng);
+  Tensor w = random_uniform(Shape{p.C, 1, p.K, p.K}, rng);
+  Tensor b = random_uniform(Shape{p.C}, rng);
+  if (p.data == DwData::kSignedZeroNaN) {
+    in = Tensor(in.shape(), 0.0f);
+    for (int64_t i = 0; i < in.numel(); i += 7) {
+      in.data()[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    w = random_uniform(w.shape(), rng, -1.0f, -0.5f);
+    b = Tensor(b.shape(), -0.0f);
+  } else if (p.data == DwData::kInfCornerTap) {
+    in = random_uniform(in.shape(), rng, 0.5f, 1.0f);
+    w = random_uniform(w.shape(), rng, 0.1f, 1.0f);
+    for (int64_t c = 0; c < p.C; ++c) {
+      w.at(c, 0, 0, 0) = std::numeric_limits<float>::infinity();
+    }
+  }
+  const Tensor* bp = p.bias ? &b : nullptr;
+
+  std::vector<DwRoute> routes = {
+      {"depthwise_forward_into",
+       [&](Tensor& o, bool r) {
+         depthwise_forward_into(in, w, bp, args, o, r);
+       }},
+      {"depthwise_forward_dispatch(kOff)",
+       [&](Tensor& o, bool r) {
+         tune::Session::ScopedMode off(tune::Mode::kOff);
+         Workspace ws;
+         tune::depthwise_forward_dispatch(in, w, bp, args, ws, o, nullptr, r);
+       }},
+  };
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2}) {
+    if (!simd::isa_available(isa)) continue;
+    routes.push_back({std::string("simd ") + simd::isa_name(isa),
+                      [&, isa](Tensor& o, bool r) {
+                        simd::depthwise_forward_into(in, w, bp, args, o, r,
+                                                     isa);
+                      }});
+  }
+
+  // Signed zeros and NaNs are only pinned through the fused ReLU, which
+  // maps both to +0.0 (unfused NaN payloads depend on operand order).
+  const std::vector<bool> relus = p.data == DwData::kSignedZeroNaN
+                                      ? std::vector<bool>{true}
+                                      : std::vector<bool>{false, true};
+  for (const bool relu : relus) {
+    const Tensor want =
+        testing::float_dw_reference(in, w, bp, p.stride, p.pad, relu);
+    for (const DwRoute& route : routes) {
+      Tensor got(want.shape(), 1.0f);
+      route.run(got, relu);
+      EXPECT_TRUE(testing::bit_identical(got, want))
+          << route.name << " fuse_relu=" << relu << " N=" << p.N
+          << " C=" << p.C << " HxW=" << p.H << "x" << p.W << " K=" << p.K
+          << " stride=" << p.stride << " pad=" << p.pad;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DwFloatReference,
+    ::testing::Values(
+        DwRefCase{2, 5, 1, 1, 3, 1, 1, true, DwData::kRandom},    // 1x1
+        DwRefCase{3, 6, 2, 2, 3, 1, 1, true, DwData::kRandom},    // 2x2
+        DwRefCase{2, 9, 2, 2, 3, 2, 1, true, DwData::kRandom},    // 2x2 s2
+        DwRefCase{2, 7, 3, 3, 3, 1, 0, true, DwData::kRandom},    // 3x3 valid
+        DwRefCase{1, 3, 3, 3, 5, 1, 2, true, DwData::kRandom},    // 3x3, K5
+        DwRefCase{2, 8, 4, 4, 3, 1, 1, true, DwData::kRandom},    // 4x4
+        DwRefCase{2, 6, 4, 4, 3, 2, 1, true, DwData::kRandom},    // 4x4 s2
+        DwRefCase{1, 5, 7, 7, 5, 1, 2, true, DwData::kRandom},    // 7x7 K5
+        DwRefCase{2, 4, 7, 7, 3, 2, 0, true, DwData::kRandom},    // 7x7 s2
+        DwRefCase{1, 10, 13, 13, 3, 1, 1, true, DwData::kRandom}, // 13x13
+        DwRefCase{1, 3, 13, 13, 5, 2, 2, true, DwData::kRandom},  // 13x13 s2
+        DwRefCase{2, 4, 32, 32, 3, 1, 1, true, DwData::kRandom},  // 32x32
+        DwRefCase{1, 6, 32, 32, 3, 2, 1, true, DwData::kRandom},  // 32x32 s2
+        DwRefCase{1, 3, 32, 32, 5, 1, 2, true, DwData::kRandom},  // 32x32 K5
+        DwRefCase{2, 5, 5, 9, 3, 1, 1, true, DwData::kRandom},    // odd W
+        DwRefCase{1, 7, 6, 11, 5, 2, 1, true, DwData::kRandom},   // odd W s2
+        DwRefCase{2, 4, 9, 9, 3, 1, 2, true, DwData::kRandom},    // pad 2, K3
+        DwRefCase{1, 5, 10, 9, 3, 3, 1, true, DwData::kRandom},   // stride 3
+        DwRefCase{2, 12, 8, 8, 3, 1, 1, false, DwData::kRandom},  // no bias
+        DwRefCase{2, 5, 7, 7, 3, 1, 1, true, DwData::kSignedZeroNaN},
+        DwRefCase{2, 6, 4, 4, 3, 2, 1, true, DwData::kSignedZeroNaN},
+        DwRefCase{1, 9, 2, 2, 3, 1, 1, true, DwData::kSignedZeroNaN},
+        DwRefCase{2, 5, 7, 7, 3, 1, 1, true, DwData::kInfCornerTap},
+        DwRefCase{2, 6, 4, 4, 3, 2, 1, false, DwData::kInfCornerTap},
+        DwRefCase{1, 9, 2, 2, 3, 1, 1, true, DwData::kInfCornerTap}));
+
+// ---- depthwise: launch record --------------------------------------------------
+//
+// The CPU execution range of the forward is (image, channel block), but the
+// recorded launch is the paper's GPU model: one thread per output pixel,
+// each doing a K*K-tap dot product. gpusim and the per-kernel benchmark rows
+// read exactly this record.
+
+void expect_one_dw_launch(const char* name,
+                          const std::function<void(Tensor&)>& run,
+                          const Shape& out_shape, int64_t K) {
+  Tensor out(out_shape);
+  device::KernelProfileScope profile;
+  run(out);
+  const std::vector<device::KernelRecord> records = profile.records();
+  ASSERT_EQ(records.size(), 1u) << name;
+  EXPECT_EQ(records[0].name, name);
+  EXPECT_EQ(records[0].threads, out.numel());
+  EXPECT_DOUBLE_EQ(records[0].flops_per_thread, 2.0 * K * K);
+  EXPECT_DOUBLE_EQ(records[0].bytes_per_thread, 4.0 * (K * K + 2.0));
+  EXPECT_EQ(records[0].atomic_adds, 0);
+}
+
+TEST(DwLaunchRecord, OneLaunchPerForwardWithPerPixelModelThreads) {
+  Rng rng(227);
+  for (const int64_t K : {3, 5}) {
+    for (const int64_t stride : {1, 2}) {
+      const DepthwiseArgs args{stride, K / 2};
+      const Tensor in = random_uniform(make_nchw(3, 6, 9, 9), rng);
+      const Tensor w = random_uniform(Shape{6, 1, K, K}, rng);
+      const Tensor b = random_uniform(Shape{6}, rng);
+      const Shape out_shape =
+          depthwise_output_shape(in.shape(), w.shape(), args);
+      for (const bool relu : {false, true}) {
+        expect_one_dw_launch(
+            "dw_forward",
+            [&](Tensor& o) {
+              depthwise_forward_into(in, w, &b, args, o, relu);
+            },
+            out_shape, K);
+        for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2,
+                                    simd::Isa::kAvx2}) {
+          if (!simd::isa_available(isa)) continue;
+          expect_one_dw_launch(
+              "simd_dw_forward",
+              [&](Tensor& o) {
+                simd::depthwise_forward_into(in, w, &b, args, o, relu, isa);
+              },
+              out_shape, K);
+        }
+      }
+    }
+  }
 }
 
 // ---- pooling -------------------------------------------------------------------

@@ -6,8 +6,8 @@
 //   * packed GEMM / conv matches the scalar library within the documented
 //     simd::kMaxUlp bound, across odd-M/N/K and channel-tail sweeps on
 //     EVERY ISA level the host offers (masked-remainder paths included);
-//   * the SCC and depthwise simd kernels are BIT-identical to the scalar
-//     library at scalar/SSE2 level (tune::Fidelity::kBitExact) and
+//   * the SCC and depthwise simd kernels are BIT-identical to their float
+//     references at scalar/SSE2 level (tune::Fidelity::kBitExact) and
 //     ULP-bounded at AVX2+FMA level;
 //   * the fused bias+ReLU epilogues agree with reference epilogues;
 //   * the tune registry only enumerates kUlpBounded candidates under
@@ -327,6 +327,10 @@ TEST(SimdScc, FusedReluEpilogue) {
 
 // ---- depthwise forward ------------------------------------------------------
 
+// Both tests compare against testing::float_dw_reference: the SSE2 level is
+// the default depthwise kernel itself, so comparing with depthwise_forward
+// would test the tile against itself.
+
 TEST(SimdDepthwise, BitExactBelowFmaUlpBoundedAtAvx2) {
   Rng rng(91);
   const struct {
@@ -336,8 +340,10 @@ TEST(SimdDepthwise, BitExactBelowFmaUlpBoundedAtAvx2) {
       {2, 8, 7, 3, 1, 1, true},   // odd 7x7 rows: interval + tail paths
       {1, 16, 9, 3, 1, 0, false}, // valid-only (interior shrinks)
       {2, 4, 13, 5, 1, 2, true},  // 5x5 taps, wide halo
-      {1, 8, 8, 3, 2, 1, true},   // strided fallback
+      {1, 8, 8, 3, 2, 1, true},   // stride 2
       {3, 6, 2, 3, 1, 1, false},  // plane smaller than one vector
+      {2, 8, 4, 3, 2, 1, true},   // stride 2, 4x4 plane
+      {2, 6, 2, 3, 2, 1, true},   // stride 2, 2x2 plane
   };
   for (const auto& c : cases) {
     const DepthwiseArgs args{c.stride, c.pad};
@@ -346,7 +352,8 @@ TEST(SimdDepthwise, BitExactBelowFmaUlpBoundedAtAvx2) {
     const Tensor w = random_uniform(Shape{c.c, 1, c.k, c.k}, rng, 0.0f, 1.0f);
     const Tensor bias = random_uniform(Shape{c.c}, rng, 0.0f, 1.0f);
     const Tensor* bp = c.bias ? &bias : nullptr;
-    const Tensor expect = depthwise_forward(in, w, bp, args);
+    const Tensor expect = testing::float_dw_reference(
+        in, w, bp, c.stride, c.pad, /*fuse_relu=*/false);
     for (const simd::Isa isa : host_levels()) {
       SCOPED_TRACE(::testing::Message() << simd::isa_name(isa)
                                         << " spatial=" << c.spatial
@@ -369,10 +376,8 @@ TEST(SimdDepthwise, FusedReluEpilogue) {
   const DepthwiseArgs args{1, 1};
   const Tensor in = random_uniform(make_nchw(2, 6, 7, 7), rng, -1.0f, 1.0f);
   const Tensor w = random_uniform(Shape{6, 1, 3, 3}, rng, -1.0f, 1.0f);
-  Tensor expect = depthwise_forward(in, w, nullptr, args);
-  for (int64_t i = 0; i < expect.numel(); ++i) {
-    if (expect[i] < 0.0f) expect.data()[i] = 0.0f;
-  }
+  const Tensor expect =
+      testing::float_dw_reference(in, w, nullptr, 1, 1, /*fuse_relu=*/true);
   for (const simd::Isa isa : host_levels()) {
     if (!bit_exact_level(isa)) continue;
     Tensor out(depthwise_output_shape(in.shape(), w.shape(), args));

@@ -217,12 +217,16 @@ TEST(TuneRegistry, MenuHasNoDuplicateComputation) {
                     "conv2d " + what);
       expect_unique(names(registry.depthwise_forward(dkey, fast)), "direct",
                     "depthwise " + what);
-      // The SSE2 SCC tile is "fused" itself, never a second candidate.
+      // The SSE2 SCC and depthwise tiles are the defaults ("fused",
+      // "direct") themselves, never a second candidate.
+      const auto dw = names(registry.depthwise_forward(dkey, fast));
       EXPECT_EQ(std::count(scc.begin(), scc.end(), "simd_sse2"), 0) << what;
+      EXPECT_EQ(std::count(dw.begin(), dw.end(), "simd_sse2"), 0) << what;
       if (!fast) {
         EXPECT_EQ(scc, (std::vector<std::string>{"fused", "fused_nocc",
                                                  "gemm"}))
             << what;
+        EXPECT_EQ(dw, (std::vector<std::string>{"direct"})) << what;
       }
     }
   }

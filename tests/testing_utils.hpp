@@ -159,6 +159,41 @@ inline Tensor float_scc_reference(const Tensor& in, const Tensor& w,
   return out;
 }
 
+/// Float depthwise reference for the bit-identity contract of the default
+/// kernel: per output element acc = bias, then acc += w[ky][kx] * x for every
+/// in-bounds tap in ascending (ky, kx) (padded taps skipped, never multiplied
+/// by zero), then relu_value (`x > 0 ? x : 0`) when `fuse_relu`. Independent
+/// of every library kernel, like float_scc_reference.
+inline Tensor float_dw_reference(const Tensor& in, const Tensor& w,
+                                 const Tensor* b, int64_t stride, int64_t pad,
+                                 bool fuse_relu) {
+  const int64_t N = in.shape().n(), C = in.shape().c();
+  const int64_t H = in.shape().h(), W = in.shape().w();
+  const int64_t K = w.shape().dim(2);
+  const int64_t Ho = (H + 2 * pad - K) / stride + 1;
+  const int64_t Wo = (W + 2 * pad - K) / stride + 1;
+  Tensor out(make_nchw(N, C, Ho, Wo));
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t c = 0; c < C; ++c) {
+      for (int64_t y = 0; y < Ho; ++y) {
+        for (int64_t x = 0; x < Wo; ++x) {
+          float acc = b != nullptr ? b->data()[c] : 0.0f;
+          for (int64_t ky = 0; ky < K; ++ky) {
+            for (int64_t kx = 0; kx < K; ++kx) {
+              const int64_t iy = y * stride + ky - pad;
+              const int64_t ix = x * stride + kx - pad;
+              if (iy < 0 || iy >= H || ix < 0 || ix >= W) continue;
+              acc += w.at(c, 0, ky, kx) * in.at(n, c, iy, ix);
+            }
+          }
+          out.at(n, c, y, x) = fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 /// Scalar probe loss: sum(output .* mask) with a fixed pseudo-random mask,
 /// so dLoss/dOutput == mask.
 struct ProbeLoss {
