@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
-#include "simd/kernels.hpp"
+#include "simd/depthwise.hpp"
 
 namespace dsx {
 
@@ -61,23 +61,8 @@ void depthwise_forward_into(const Tensor& input, const Tensor& weight,
   // The register-tiled forward of dsx::simd's SSE2 table (the x86-64
   // baseline, so no dispatch; below FMA level the tile keeps the
   // bounds-checked scalar per-element op sequence).
-  simd::DwCall call;
-  call.name = "dw_forward";
-  call.input = input.data();
-  call.weight = weight.data();
-  call.bias = bias != nullptr ? bias->data() : nullptr;
-  call.N = d.N;
-  call.C = d.C;
-  call.H = d.H;
-  call.W = d.W;
-  call.K = d.K;
-  call.Ho = d.Ho;
-  call.Wo = d.Wo;
-  call.stride = args.stride;
-  call.pad = args.pad;
-  call.out = out.data();
-  call.relu = fuse_relu;
-  simd::sse2::table().depthwise_forward(call);
+  simd::sse2::table().depthwise_forward(simd::make_dw_call(
+      input, weight, bias, args, out, fuse_relu, "dw_forward"));
 }
 
 DepthwiseGrads depthwise_backward(const Tensor& input, const Tensor& weight,

@@ -4,6 +4,28 @@
 
 namespace dsx::simd {
 
+DwCall make_dw_call(const Tensor& input, const Tensor& weight,
+                    const Tensor* bias, const DepthwiseArgs& args, Tensor& out,
+                    bool fuse_relu, const char* name) {
+  DwCall call;
+  call.name = name;
+  call.input = input.data();
+  call.weight = weight.data();
+  call.bias = bias != nullptr ? bias->data() : nullptr;
+  call.N = input.shape().n();
+  call.C = input.shape().c();
+  call.H = input.shape().h();
+  call.W = input.shape().w();
+  call.K = weight.shape().dim(2);
+  call.Ho = out.shape().h();
+  call.Wo = out.shape().w();
+  call.stride = args.stride;
+  call.pad = args.pad;
+  call.out = out.data();
+  call.relu = fuse_relu;
+  return call;
+}
+
 void depthwise_forward_into(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const DepthwiseArgs& args,
                             Tensor& out, bool fuse_relu, Isa isa) {
@@ -18,22 +40,8 @@ void depthwise_forward_into(const Tensor& input, const Tensor& weight,
                 "simd::depthwise: bad bias shape");
   }
 
-  DwCall call;
-  call.input = input.data();
-  call.weight = weight.data();
-  call.bias = bias != nullptr ? bias->data() : nullptr;
-  call.N = input.shape().n();
-  call.C = input.shape().c();
-  call.H = input.shape().h();
-  call.W = input.shape().w();
-  call.K = weight.shape().dim(2);
-  call.Ho = expect.h();
-  call.Wo = expect.w();
-  call.stride = args.stride;
-  call.pad = args.pad;
-  call.out = out.data();
-  call.relu = fuse_relu;
-  kernels(isa).depthwise_forward(call);
+  kernels(isa).depthwise_forward(make_dw_call(input, weight, bias, args, out,
+                                              fuse_relu, "simd_dw_forward"));
 }
 
 }  // namespace dsx::simd

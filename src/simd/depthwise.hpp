@@ -12,9 +12,16 @@
 
 #include "ops/depthwise.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dsx::simd {
+
+/// The kernel call writing `out` = depthwise(input, weight, bias), launched
+/// under `name`; the caller has validated the shapes.
+DwCall make_dw_call(const Tensor& input, const Tensor& weight,
+                    const Tensor* bias, const DepthwiseArgs& args, Tensor& out,
+                    bool fuse_relu, const char* name);
 
 /// Forward into a preallocated `out` of depthwise_output_shape(...).
 void depthwise_forward_into(const Tensor& input, const Tensor& weight,
